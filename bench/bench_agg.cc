@@ -11,6 +11,10 @@
 //     row-addressed `1 + floor(rand() * 100)` subsample id — the AQP hot
 //     path the VerdictDB rewriter emits (Figure 7's inner loop), with its
 //     Double sid key and 1000-group (10 x 100) product.
+//   - small-sample sid shape: GROUP BY (g100, sid) over 16K rows — one
+//     morsel holding ~8K of the 10K (100 x 100) groups, the size of the
+//     samples AQP runs on, where per-statement fixed cost (key gather,
+//     finalize) rather than scan throughput sets the latency.
 //
 // Both sinks produce bit-identical results (pinned by FlatAggTest); only
 // the execution strategy differs. --smoke shrinks rows/reps for the
@@ -116,6 +120,21 @@ void RunSidShape(bool smoke) {
           "group by (g10, sid)", rows, reps);
 }
 
+void RunSmallSampleShape(bool smoke) {
+  const size_t rows = 16'384;  // one morsel: no cross-morsel merge runs
+  const int reps = smoke ? 3 : 51;
+  std::printf("\n== GROUP BY (g100, sid): %zu rows (one morsel), b = 100 ==\n",
+              rows);
+  std::printf("%-34s %10s %12s %10s\n", "sink", "ms", "rows/s", "speedup");
+  Database db(4242);
+  if (!db.RegisterTable("t", BuildTable(rows, 100, 29)).ok()) return;
+  RunCase(&db,
+          "select g, sid, sum(v) as e, count(*) as ss from "
+          "(select *, 1 + floor(rand() * 100) as sid from t) as d "
+          "group by g, sid",
+          "group by (g100, sid) 16K rows", rows, reps);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,6 +142,7 @@ int main(int argc, char** argv) {
   const bool smoke = vdb::bench::HasFlag(argc, argv, "--smoke");
   RunGroupSweep(smoke);
   RunSidShape(smoke);
+  RunSmallSampleShape(smoke);
   vdb::bench::BenchJsonWrite();
   return 0;
 }

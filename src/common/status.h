@@ -6,7 +6,8 @@
 #ifndef VDB_COMMON_STATUS_H_
 #define VDB_COMMON_STATUS_H_
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -86,8 +87,19 @@ class Status {
   std::string message_;
 };
 
-/// A value-or-error result. Accessing the value of an error Result is a
-/// programming error (checked by assert in debug builds).
+/// Prints `status` and aborts: the defined, loud end of Result misuse in
+/// every build type (assert alone compiles out in Release, where the bad
+/// access would dereference an empty optional instead).
+[[noreturn]] inline void DieOnBadResultAccess(const Status& status,
+                                              const char* what) {
+  std::fprintf(stderr, "vdb: %s: %s\n", what, status.ToString().c_str());
+  std::fflush(stderr);
+  std::abort();
+}
+
+/// A value-or-error result. Reading the value of an error Result, and
+/// constructing a Result from an OK Status, are programming errors that
+/// print the status and abort in every build type.
 template <typename T>
 class Result {
  public:
@@ -95,26 +107,32 @@ class Result {
   Result(T value) : value_(std::move(value)) {}
   // NOLINTNEXTLINE(google-explicit-constructor)
   Result(Status status) : status_(std::move(status)) {
-    assert(!status_.ok() && "use Result(T) for success");
+    if (status_.ok()) {
+      DieOnBadResultAccess(status_, "Result built from an OK Status");
+    }
   }
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
   T& value() {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   const T& value() const {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T ValueOrDie() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
  private:
+  void CheckOk() const {
+    if (!ok()) DieOnBadResultAccess(status_, "value() of an error Result");
+  }
+
   std::optional<T> value_;
   Status status_;
 };

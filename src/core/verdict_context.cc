@@ -121,6 +121,9 @@ Result<ApproxAnswer> VerdictContext::ExecuteApprox(const std::string& sql,
   guard_.set_memory_budget_bytes(options_.memory_budget_bytes);
   guard_.set_deadline_after_ms(options_.timeout_ms);
   conn_.set_exec_guard(&guard_);
+  // The statement log restarts with every user query, so it stays bounded
+  // by one query's statements (plus offline-stage ones issued since).
+  conn_.ClearLog();
   ExecInfo local;
   ExecInfo* ei = info ? info : &local;
   bool handled = false;

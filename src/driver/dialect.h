@@ -70,7 +70,11 @@ class Connection {
   void set_exec_guard(const ExecGuard* guard) { guard_ = guard; }
   const ExecGuard* exec_guard() const { return guard_; }
 
-  /// SQL statements issued over this connection (for tests / accounting).
+  /// SQL statements issued over this connection (for tests / accounting),
+  /// oldest first. VerdictContext::ExecuteApprox clears it when a user query
+  /// starts, so under a VerdictContext it holds the statements of the last
+  /// user query plus any issued since (offline-stage sample builds or
+  /// appends); it never grows with the number of queries served.
   const std::vector<std::string>& statement_log() const { return log_; }
   void ClearLog() { log_.clear(); }
 

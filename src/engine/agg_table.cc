@@ -178,6 +178,12 @@ std::vector<KeyCol> ZeroBased(const std::vector<const Column*>& cols) {
 
 }  // namespace
 
+Status GroupTable::Charge(size_t cap) const {
+  if (!governed_) return Status::Ok();
+  return GuardTryReserve(guard_, static_cast<uint64_t>(cap) * sizeof(Slot),
+                         "agg_group_grow");
+}
+
 void GroupTable::Reset(size_t expected) {
   size_t cap = 16;
   // Size so `expected` groups stay under the 3/4 load factor.
@@ -185,8 +191,7 @@ void GroupTable::Reset(size_t expected) {
   GuardRelease(guard_, charged_bytes_);
   charged_bytes_ = 0;
   guard_status_ = Status::Ok();
-  Status st = GuardTryReserve(
-      guard_, static_cast<uint64_t>(cap) * sizeof(Slot), "agg_group_grow");
+  Status st = Charge(cap);
   if (!st.ok()) {
     // Latch and fall back to the minimum capacity (uncharged) so callers
     // that probe before checking guard_status() stay in-bounds; the first
@@ -205,8 +210,7 @@ void GroupTable::Grow() {
   // Charge the doubled array before releasing the old charge: both buffers
   // are briefly alive during the reallocation, and a failed charge must
   // leave the existing (still valid) table untouched.
-  Status st = GuardTryReserve(
-      guard_, static_cast<uint64_t>(cap) * sizeof(Slot), "agg_group_grow");
+  Status st = Charge(cap);
   if (!st.ok()) {
     if (guard_status_.ok()) guard_status_ = std::move(st);
     return;
@@ -215,9 +219,13 @@ void GroupTable::Grow() {
   charged_bytes_ =
       guard_ != nullptr ? static_cast<uint64_t>(cap) * sizeof(Slot) : 0;
   slots_.assign(cap, Slot{0, kNoGroup});
-  const uint64_t mask = cap - 1;
-  // Rehash from the stored per-group hashes; no equality checks needed —
-  // every gid is already distinct, same-hash groups just extend the chain.
+  Rehash();
+}
+
+void GroupTable::Rehash() {
+  const uint64_t mask = slots_.size() - 1;
+  // No equality checks needed: every gid is already distinct, same-hash
+  // groups just extend the chain.
   for (uint32_t g = 0; g < group_hashes_.size(); ++g) {
     size_t i = group_hashes_[g] & mask;
     while (slots_[i].gid != kNoGroup) i = (i + 1) & mask;
@@ -225,28 +233,143 @@ void GroupTable::Grow() {
   }
 }
 
-void GroupMergeTable::Reset(size_t arity, size_t expected) {
-  arity_ = arity;
-  table_.Reset(expected);
-  keys_.clear();
+void GroupTable::Seed(size_t expected, std::vector<uint64_t> hashes) {
+  Reset(std::max(expected, hashes.size()));
+  if (!guard_status_.ok()) return;
+  group_hashes_ = std::move(hashes);
+  Rehash();
 }
 
-uint32_t GroupMergeTable::FindOrInsert(uint64_t h, const Value* keys,
-                                       bool* inserted) {
-  const uint32_t gid = table_.FindOrInsert(
-      h,
-      [&](uint32_t g) {
-        const Value* gk = keys_.data() + static_cast<size_t>(g) * arity_;
-        for (size_t i = 0; i < arity_; ++i) {
-          if (!GroupValuesEqual(gk[i], keys[i])) return false;
-        }
-        return true;
-      },
-      inserted);
-  if (*inserted) {
-    for (size_t i = 0; i < arity_; ++i) keys_.push_back(keys[i]);
+namespace {
+
+/// One key column's verification lane for a merge batch: global column `g`
+/// (gid-indexed) against the merging partial's column `m` (row-indexed).
+/// kInt/kDbl are the same-type, NULL-free raw-lane fast paths; kCells goes
+/// through GroupCellsEqual, kSegments through the column's exact segments.
+struct MergeLane {
+  enum Kind : uint8_t { kInt, kDbl, kCells, kSegments } kind;
+  const int64_t* gi = nullptr;
+  const int64_t* mi = nullptr;
+  const double* gd = nullptr;
+  const double* md = nullptr;
+  const Column* g = nullptr;
+  const Column* m = nullptr;
+};
+
+}  // namespace
+
+void GroupMergeTable::Adopt(std::vector<Column> keys,
+                            std::vector<uint64_t> hashes, size_t expected) {
+  num_groups_ = hashes.size();
+  keys_ = std::move(keys);
+  adopted_hashes_ = std::move(hashes);
+  exact_.assign(keys_.size(), Segments{});
+  expected_ = expected;
+  indexed_ = false;
+}
+
+void GroupMergeTable::Merge(const std::vector<Column>& keys,
+                            const std::vector<uint64_t>& hashes,
+                            std::vector<uint32_t>* gids) {
+  const size_t n = hashes.size();
+  gids->assign(n, 0);
+  if (!indexed_) {
+    table_.Seed(expected_, std::move(adopted_hashes_));
+    indexed_ = true;
   }
-  return gid;
+  if (!table_.guard_status().ok()) return;
+
+  std::vector<MergeLane> lanes(keys_.size());
+  for (size_t c = 0; c < keys_.size(); ++c) {
+    const Column& g = keys_[c];
+    const Column& m = keys[c];
+    MergeLane& l = lanes[c];
+    l.g = &g;
+    l.m = &m;
+    const bool no_nulls = g.NullData() == nullptr && m.NullData() == nullptr;
+    if (!exact_[c].segs.empty()) {
+      l.kind = MergeLane::kSegments;
+    } else if (no_nulls && g.type() == TypeId::kInt64 &&
+               m.type() == TypeId::kInt64) {
+      l.kind = MergeLane::kInt;
+      l.gi = g.IntData();
+      l.mi = m.IntData();
+    } else if (no_nulls && g.type() == TypeId::kDouble &&
+               m.type() == TypeId::kDouble) {
+      l.kind = MergeLane::kDbl;
+      l.gd = g.DoubleData();
+      l.md = m.DoubleData();
+    } else {
+      l.kind = MergeLane::kCells;
+    }
+  }
+
+  // Groups inserted by this batch are never equal to a later key of the
+  // same partial (a partial's groups are distinct), so verification only
+  // ever compares against gids below `first`, whose keys are in keys_.
+  const uint32_t first = static_cast<uint32_t>(num_groups_);
+  auto keys_eq = [&](size_t k, uint32_t g) {
+    if (g >= first) return false;
+    for (size_t c = 0; c < lanes.size(); ++c) {
+      const MergeLane& l = lanes[c];
+      bool eq = false;
+      switch (l.kind) {
+        case MergeLane::kInt:
+          eq = l.gi[g] == l.mi[k];
+          break;
+        case MergeLane::kDbl:
+          eq = l.gd[g] == l.md[k] ||
+               (std::isnan(l.gd[g]) && std::isnan(l.md[k]));
+          break;
+        case MergeLane::kCells:
+          eq = GroupCellsEqual(*l.g, g, *l.m, k);
+          break;
+        case MergeLane::kSegments: {
+          const Segments& sg = exact_[c];
+          const size_t s = static_cast<size_t>(
+              std::upper_bound(sg.begins.begin(), sg.begins.end(), g) -
+              sg.begins.begin() - 1);
+          eq = GroupCellsEqual(sg.segs[s], g - sg.begins[s], *l.m, k);
+          break;
+        }
+      }
+      if (!eq) return false;
+    }
+    return true;
+  };
+  fresh_.clear();
+  table_.FindOrInsertBatch(
+      hashes.data(), n, keys_eq,
+      [&](size_t k, uint32_t) { fresh_.push_back(static_cast<uint32_t>(k)); },
+      gids->data());
+  if (!table_.guard_status().ok()) return;
+  num_groups_ += fresh_.size();
+  if (fresh_.empty()) return;
+  for (size_t c = 0; c < keys_.size(); ++c) {
+    AppendFresh(c, keys[c], first);
+  }
+}
+
+void GroupMergeTable::AppendFresh(size_t c, const Column& src,
+                                  uint32_t first_gid) {
+  Column& dst = keys_[c];
+  Segments& sg = exact_[c];
+  const TypeId dt = dst.type(), st = src.type();
+  // Same type, or NULLs on one side: Append semantics lose nothing.
+  const bool lossless =
+      dt == TypeId::kNull || st == TypeId::kNull || dt == st;
+  if (sg.segs.empty() && !lossless) {
+    // First lossy append: keys_[c] still holds the exact values so far.
+    sg.begins.push_back(0);
+    sg.segs.push_back(dst);
+  }
+  if (!sg.segs.empty()) {
+    Column seg;
+    seg.AppendSelectedValues(src, 0, fresh_.data(), fresh_.size());
+    sg.begins.push_back(first_gid);
+    sg.segs.push_back(std::move(seg));
+  }
+  dst.AppendSelectedValues(src, 0, fresh_.data(), fresh_.size());
 }
 
 GroupAssignment AssignGroupIds(const std::vector<const Column*>& cols,

@@ -7,8 +7,8 @@
 //
 //   - AssignGroupIds / AssignGroupIdsSelected: dense group-id assignment
 //     over column key tuples (kernel-backed hashing via HashGroupColumn);
-//   - GroupMergeTable: the morsel-partial merge, keyed on group-key Value
-//     tuples whose hashes the producing morsels already computed;
+//   - GroupMergeTable: the morsel-partial merge, keyed on typed group-key
+//     columns whose hashes the producing morsels already computed;
 //   - the flat DISTINCT value set in aggregates.cc.
 
 #ifndef VDB_ENGINE_AGG_TABLE_H_
@@ -60,13 +60,20 @@ class GroupTable {
 
   ~GroupTable() { GuardRelease(guard_, charged_bytes_); }
 
-  /// Attaches a per-statement guard: slot-array growth is budget-charged
-  /// through TryReserve (site "agg_group_grow") and a trip latches into
-  /// guard_status() instead of growing — inserts then stop assigning fresh
-  /// groups (returning gid 0) so the table never fills to the point of an
-  /// unterminated probe. Callers MUST check guard_status() after an insert
-  /// batch and discard results on failure. Set before Reset.
-  void set_guard(const ExecGuard* guard) { guard_ = guard; }
+  /// Makes the table a governed site under a per-statement guard (nullptr
+  /// for an ungoverned statement, which still consults fault points): slot
+  /// arrays are budget-charged through TryReserve (site "agg_group_grow")
+  /// and a trip latches into guard_status() instead of growing — inserts
+  /// then stop assigning fresh groups (returning gid 0) so the table never
+  /// fills to the point of an unterminated probe. Callers MUST check
+  /// guard_status() after an insert batch and discard results on failure.
+  /// Set before Reset. A table never attached is uncharged scratch
+  /// (morsel-bounded group-id assignment, DISTINCT sets): its callers have
+  /// no failure path, so it never consults the budget or the fault point.
+  void set_guard(const ExecGuard* guard) {
+    guard_ = guard;
+    governed_ = true;
+  }
 
   /// First guard/budget failure observed by Reset or growth; kOk otherwise.
   const Status& guard_status() const { return guard_status_; }
@@ -80,6 +87,12 @@ class GroupTable {
   /// Moves the per-group hash array out (insertion order); Reset before
   /// reusing the table afterwards.
   std::vector<uint64_t> TakeGroupHashes() { return std::move(group_hashes_); }
+
+  /// Reset for max(expected, hashes.size()) groups, then takes `hashes` as
+  /// groups 0..hashes.size() - 1 without any equality check: the caller
+  /// guarantees the groups are distinct (one partial's groups). A latched
+  /// guard failure leaves the table empty.
+  void Seed(size_t expected, std::vector<uint64_t> hashes);
 
   /// Finds the group with hash `h` for which eq(gid) holds, or inserts a
   /// new one (returning the next dense id). eq runs only on same-hash
@@ -171,44 +184,81 @@ class GroupTable {
   };
 
   void Grow();
+  /// Budget/fault consult for a `cap`-slot array; always OK unless governed.
+  Status Charge(size_t cap) const;
+  /// Re-slots every group from group_hashes_ (all gids already distinct).
+  void Rehash();
 
   std::vector<Slot> slots_;
   std::vector<uint64_t> group_hashes_;  // per-gid, insertion order
   const ExecGuard* guard_ = nullptr;    // polled/charged on growth
+  bool governed_ = false;               // set_guard called
   uint64_t charged_bytes_ = 0;          // released on destruction / Reset
   Status guard_status_ = Status::Ok();  // first growth failure, latched
 };
 
-/// Hashed merge table over group-key Value tuples: replaces the string-keyed
-/// merge map in the morsel-partial aggregation merge. Keys arrive with their
-/// hash already computed by the producing morsel's AssignGroupIds
-/// (GroupAssignment::group_hash — a pure function of the key values, so
-/// every morsel agrees); equality is GroupValuesEqual per component.
+/// The cross-morsel merge table of grouped aggregation, keyed on typed
+/// group-key columns (one row per group, Column::Append semantics — the
+/// partial's keys gathered with AppendSelectedValues at rep_row). Hashes
+/// arrive precomputed by each morsel's group-id assignment
+/// (GroupAssignment::group_hash, a pure function of the key values, so every
+/// morsel agrees); key equality is GroupCellsEqual per column.
+///
+/// The first partial is adopted verbatim: its key columns and hashes become
+/// groups 0..n-1 with no probe, because every group of the first morsel is a
+/// first occurrence. Later partials merge in morsel order, one
+/// FindOrInsertBatch each; fresh groups take the next gids in the partial's
+/// group order, so global gids follow first-occurrence order across morsels.
+/// The slot array is built on the first Merge, so a one-morsel input never
+/// builds (or charges) one.
 class GroupMergeTable {
  public:
-  void Reset(size_t arity, size_t expected);
-
-  /// Guard plumbing: forwards to the underlying GroupTable (growth charged
-  /// at site "agg_group_grow", failures latched). Set before Reset; check
-  /// guard_status() after each merge batch.
+  /// Guard plumbing: forwards to the underlying GroupTable (slot arrays
+  /// charged at site "agg_group_grow", failures latched). Set before Adopt;
+  /// check guard_status() after each Merge and discard on failure.
   void set_guard(const ExecGuard* guard) { table_.set_guard(guard); }
   const Status& guard_status() const { return table_.guard_status(); }
 
-  size_t num_groups() const { return table_.num_groups(); }
+  /// Takes the first partial as groups 0..n-1. `keys` holds one column per
+  /// group key (none for an implicit aggregate group), `hashes` one hash per
+  /// group. `expected` sizes the slot array the first Merge builds.
+  void Adopt(std::vector<Column> keys, std::vector<uint64_t> hashes,
+             size_t expected);
 
-  /// Key tuple of group `gid` (`arity` values, insertion order).
-  const Value* group_keys(uint32_t gid) const {
-    return keys_.data() + static_cast<size_t>(gid) * arity_;
-  }
+  size_t num_groups() const { return num_groups_; }
 
-  /// Finds or inserts the group whose key tuple is keys[0..arity); `h` must
-  /// be that tuple's group hash.
-  uint32_t FindOrInsert(uint64_t h, const Value* keys, bool* inserted);
+  /// Merges the next partial (same key arity as the adopted one): gids[k]
+  /// is the global gid of its group k. Fresh groups get gids num_groups(),
+  /// num_groups() + 1, ... in k order, and their keys are appended under
+  /// Column::Append semantics.
+  void Merge(const std::vector<Column>& keys,
+             const std::vector<uint64_t>& hashes, std::vector<uint32_t>* gids);
+
+  /// Moves out the key columns, one row per group in gid order.
+  std::vector<Column> TakeKeys() { return std::move(keys_); }
 
  private:
+  /// Original key values of a column whose Append-semantics form lost
+  /// information. Appending keys of another type can promote Int64 keys
+  /// past 2^53 to unequal doubles or turn string keys into NULLs; from then
+  /// on that column compares against these segments — each an exact,
+  /// single-type gather — instead of keys_. begins[i] is segs[i]'s first gid.
+  struct Segments {
+    std::vector<uint32_t> begins;
+    std::vector<Column> segs;
+  };
+
+  /// Appends partial column `src`'s fresh_ rows to key column c.
+  void AppendFresh(size_t c, const Column& src, uint32_t first_gid);
+
   GroupTable table_;
-  std::vector<Value> keys_;
-  size_t arity_ = 0;
+  bool indexed_ = false;  // slot array built (first Merge)
+  size_t expected_ = 0;
+  std::vector<uint64_t> adopted_hashes_;  // until the first Merge
+  std::vector<Column> keys_;
+  std::vector<Segments> exact_;  // per key column; empty: keys_ is exact
+  size_t num_groups_ = 0;
+  std::vector<uint32_t> fresh_;  // scratch: fresh local groups of a Merge
 };
 
 /// Assigns dense group ids over the selected rows rows[0..n) (ascending) of

@@ -454,6 +454,26 @@ class NdvAcc : public AggAccumulator {
 // pass over a batch column, no per-group heap objects, no per-group
 // selection vectors.
 
+/// Column::Append's result for a run of n NULLs: untyped, every slot
+/// masked (no column at all for n == 0).
+Column AllNullColumn(size_t n) {
+  if (n == 0) return Column();
+  return Column::FromData(TypeId::kNull, {}, {}, {},
+                          std::vector<uint8_t>(n, 1));
+}
+
+/// Column::Append's result for per-group values that are Double, or NULL
+/// where is_null[g] != 0 (vals[g] then holds the 0.0 placeholder): untyped
+/// while every value is NULL, otherwise Double with a mask only when some
+/// value is NULL.
+Column DoubleOrNullColumn(std::vector<double> vals,
+                          std::vector<uint8_t> is_null, size_t num_null) {
+  if (num_null == vals.size()) return AllNullColumn(vals.size());
+  if (num_null == 0) is_null.clear();
+  return Column::FromData(TypeId::kDouble, {}, std::move(vals), {},
+                          std::move(is_null));
+}
+
 class FlatCountAgg : public FlatAggregator {
  public:
   explicit FlatCountAgg(bool star) : star_(star) {}
@@ -478,16 +498,19 @@ class FlatCountAgg : public FlatAggregator {
       if (!col->IsNull(base + rows[k])) ++counts_[gids[k]];
     }
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
-    counts_[dst] += static_cast<const FlatCountAgg&>(other).counts_[src];
-  }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    counts_[dst] = static_cast<const FlatCountAgg&>(other).counts_[src];
+  void MergePartial(const FlatAggregator& other, const uint32_t* dst,
+                    size_t n, size_t num_groups) override {
+    const auto& o = static_cast<const FlatCountAgg&>(other);
+    // A first occurrence starts at 0, so adding is its verbatim copy.
+    ResizeGroups(num_groups);
+    for (size_t k = 0; k < n; ++k) counts_[dst[k]] += o.counts_[k];
   }
   Value FinalizeGroup(uint32_t g) const override {
     return Value::Int(counts_[g]);
+  }
+  Column FinalizeColumn() const override {
+    if (counts_.empty()) return Column();
+    return Column::FromData(TypeId::kInt64, counts_, {}, {}, {});
   }
 
  private:
@@ -513,21 +536,25 @@ class FlatSumAgg : public FlatAggregator {
                           const uint32_t* gids, size_t n) override {
     Scatter(col, base, rows, gids, n);
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
+  void MergePartial(const FlatAggregator& other, const uint32_t* dst,
+                    size_t n, size_t num_groups) override {
     const auto& o = static_cast<const FlatSumAgg&>(other);
-    NeumaierAdd(sums_[dst], comps_[dst], o.sums_[src]);
-    NeumaierAdd(sums_[dst], comps_[dst], o.comps_[src]);
-    any_[dst] |= o.any_[src];
-    nonint_[dst] |= o.nonint_[src];
-  }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatSumAgg&>(other);
-    sums_[dst] = o.sums_[src];
-    comps_[dst] = o.comps_[src];
-    any_[dst] = o.any_[src];
-    nonint_[dst] = o.nonint_[src];
+    const size_t first = sums_.size();
+    ResizeGroups(num_groups);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst[k];
+      if (d >= first) {
+        sums_[d] = o.sums_[k];
+        comps_[d] = o.comps_[k];
+        any_[d] = o.any_[k];
+        nonint_[d] = o.nonint_[k];
+        continue;
+      }
+      NeumaierAdd(sums_[d], comps_[d], o.sums_[k]);
+      NeumaierAdd(sums_[d], comps_[d], o.comps_[k]);
+      any_[d] |= o.any_[k];
+      nonint_[d] |= o.nonint_[k];
+    }
   }
   Value FinalizeGroup(uint32_t g) const override {
     if (!any_[g]) return Value::Null();
@@ -536,6 +563,43 @@ class FlatSumAgg : public FlatAggregator {
       return Value::Int(static_cast<int64_t>(std::llround(total)));
     }
     return Value::Double(total);
+  }
+  Column FinalizeColumn() const override {
+    // Append keeps Int64 until the first Double, then promotes every
+    // earlier integer sum to double; NULL slots hold 0 / 0.0.
+    const size_t n = sums_.size();
+    std::vector<uint8_t> is_null(n, 0);
+    size_t num_null = 0;
+    bool any_double = false;
+    for (size_t g = 0; g < n; ++g) {
+      if (!any_[g]) {
+        is_null[g] = 1;
+        ++num_null;
+      } else if (nonint_[g]) {
+        any_double = true;
+      }
+    }
+    if (any_double) {
+      std::vector<double> vals(n, 0.0);
+      for (size_t g = 0; g < n; ++g) {
+        if (!any_[g]) continue;
+        const double total = sums_[g] + comps_[g];
+        vals[g] = nonint_[g] ? total
+                             : static_cast<double>(std::llround(total));
+      }
+      return DoubleOrNullColumn(std::move(vals), std::move(is_null),
+                                num_null);
+    }
+    if (num_null == n) return AllNullColumn(n);
+    std::vector<int64_t> vals(n, 0);
+    for (size_t g = 0; g < n; ++g) {
+      if (any_[g]) {
+        vals[g] = static_cast<int64_t>(std::llround(sums_[g] + comps_[g]));
+      }
+    }
+    if (num_null == 0) is_null.clear();
+    return Column::FromData(TypeId::kInt64, std::move(vals), {}, {},
+                            std::move(is_null));
   }
 
  private:
@@ -599,23 +663,42 @@ class FlatAvgAgg : public FlatAggregator {
                           const uint32_t* gids, size_t n) override {
     Scatter(col, base, rows, gids, n);
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
+  void MergePartial(const FlatAggregator& other, const uint32_t* dst,
+                    size_t n, size_t num_groups) override {
     const auto& o = static_cast<const FlatAvgAgg&>(other);
-    NeumaierAdd(sums_[dst], comps_[dst], o.sums_[src]);
-    NeumaierAdd(sums_[dst], comps_[dst], o.comps_[src]);
-    ns_[dst] += o.ns_[src];
-  }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatAvgAgg&>(other);
-    sums_[dst] = o.sums_[src];
-    comps_[dst] = o.comps_[src];
-    ns_[dst] = o.ns_[src];
+    const size_t first = sums_.size();
+    ResizeGroups(num_groups);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst[k];
+      if (d >= first) {
+        sums_[d] = o.sums_[k];
+        comps_[d] = o.comps_[k];
+        ns_[d] = o.ns_[k];
+        continue;
+      }
+      NeumaierAdd(sums_[d], comps_[d], o.sums_[k]);
+      NeumaierAdd(sums_[d], comps_[d], o.comps_[k]);
+      ns_[d] += o.ns_[k];
+    }
   }
   Value FinalizeGroup(uint32_t g) const override {
     if (ns_[g] == 0) return Value::Null();
     return Value::Double((sums_[g] + comps_[g]) / static_cast<double>(ns_[g]));
+  }
+  Column FinalizeColumn() const override {
+    const size_t n = ns_.size();
+    std::vector<double> vals(n, 0.0);
+    std::vector<uint8_t> is_null(n, 0);
+    size_t num_null = 0;
+    for (size_t g = 0; g < n; ++g) {
+      if (ns_[g] == 0) {
+        is_null[g] = 1;
+        ++num_null;
+        continue;
+      }
+      vals[g] = (sums_[g] + comps_[g]) / static_cast<double>(ns_[g]);
+    }
+    return DoubleOrNullColumn(std::move(vals), std::move(is_null), num_null);
   }
 
  private:
@@ -675,19 +758,32 @@ class FlatMinMaxAgg : public FlatAggregator {
                           const uint32_t* gids, size_t n) override {
     Scatter(col, base, rows, gids, n);
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
+  void MergePartial(const FlatAggregator& other, const uint32_t* dst,
+                    size_t n, size_t num_groups) override {
     const auto& o = static_cast<const FlatMinMaxAgg&>(other);
-    if (o.any_[src]) Fold(dst, o.best_[src]);
-  }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatMinMaxAgg&>(other);
-    best_[dst] = o.best_[src];
-    any_[dst] = o.any_[src];
+    const size_t first = best_.size();
+    ResizeGroups(num_groups);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst[k];
+      if (d >= first) {
+        best_[d] = o.best_[k];
+        any_[d] = o.any_[k];
+      } else if (o.any_[k]) {
+        Fold(d, o.best_[k]);
+      }
+    }
   }
   Value FinalizeGroup(uint32_t g) const override {
     return any_[g] ? best_[g] : Value::Null();
+  }
+  Column FinalizeColumn() const override {
+    // The extrema are stored as Values already (any type, including mixed
+    // ones from per-morsel argument types), so Append is the typed path.
+    Column out;
+    for (size_t g = 0; g < best_.size(); ++g) {
+      out.Append(any_[g] ? best_[g] : Value::Null());
+    }
+    return out;
   }
 
  private:
@@ -798,33 +894,50 @@ class FlatVarAgg : public FlatAggregator {
                           const uint32_t* gids, size_t n) override {
     Scatter(col, base, rows, gids, n);
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
+  void MergePartial(const FlatAggregator& other, const uint32_t* dst,
+                    size_t n, size_t num_groups) override {
     const auto& o = static_cast<const FlatVarAgg&>(other);
-    if (o.ns_[src] == 0) return;
-    if (ns_[dst] == 0) {
-      CopyGroup(other, dst, src);
-      return;
+    const size_t first = ns_.size();
+    ResizeGroups(num_groups);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst[k];
+      if (d < first && o.ns_[k] == 0) continue;
+      // VarAcc::Merge: an empty side takes the other's state verbatim.
+      if (d >= first || ns_[d] == 0) {
+        ns_[d] = o.ns_[k];
+        means_[d] = o.means_[k];
+        m2s_[d] = o.m2s_[k];
+        continue;
+      }
+      const double na = static_cast<double>(ns_[d]);
+      const double nb = static_cast<double>(o.ns_[k]);
+      const double delta = o.means_[k] - means_[d];
+      const double total = na + nb;
+      m2s_[d] += o.m2s_[k] + delta * delta * (na * nb / total);
+      means_[d] += delta * (nb / total);
+      ns_[d] += o.ns_[k];
     }
-    const double na = static_cast<double>(ns_[dst]);
-    const double nb = static_cast<double>(o.ns_[src]);
-    const double delta = o.means_[src] - means_[dst];
-    const double total = na + nb;
-    m2s_[dst] += o.m2s_[src] + delta * delta * (na * nb / total);
-    means_[dst] += delta * (nb / total);
-    ns_[dst] += o.ns_[src];
-  }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatVarAgg&>(other);
-    ns_[dst] = o.ns_[src];
-    means_[dst] = o.means_[src];
-    m2s_[dst] = o.m2s_[src];
   }
   Value FinalizeGroup(uint32_t g) const override {
     if (ns_[g] < 2) return Value::Null();
     const double var = m2s_[g] / static_cast<double>(ns_[g] - 1);
     return Value::Double(stddev_ ? std::sqrt(var) : var);
+  }
+  Column FinalizeColumn() const override {
+    const size_t n = ns_.size();
+    std::vector<double> vals(n, 0.0);
+    std::vector<uint8_t> is_null(n, 0);
+    size_t num_null = 0;
+    for (size_t g = 0; g < n; ++g) {
+      if (ns_[g] < 2) {
+        is_null[g] = 1;
+        ++num_null;
+        continue;
+      }
+      const double var = m2s_[g] / static_cast<double>(ns_[g] - 1);
+      vals[g] = stddev_ ? std::sqrt(var) : var;
+    }
+    return DoubleOrNullColumn(std::move(vals), std::move(is_null), num_null);
   }
 
  private:

@@ -82,20 +82,25 @@ class FlatAggregator {
   virtual void AddScatterSelected(const Column* col, size_t base,
                                   const uint32_t* rows, const uint32_t* gids,
                                   size_t n) = 0;
-  /// Folds group `src` of `other` into group `dst` of this — the SoA mirror
-  /// of AggAccumulator::Merge. `other` is the same concrete type. Merging
-  /// morsel partials strictly in morsel order keeps results bit-identical
-  /// across thread counts, exactly like the object path.
-  virtual void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                          uint32_t src) = 0;
-  /// Copies group `src` of `other` over group `dst` verbatim — the mirror of
-  /// the reference merge loop MOVING a first-occurrence partial into the
-  /// global slot. Merging into an empty group instead would re-round
-  /// compensated sums (NeumaierAdd(0, 0, sum) then comp collapses the error
-  /// term), so first occurrences must copy, not merge.
-  virtual void CopyGroup(const FlatAggregator& other, uint32_t dst,
-                         uint32_t src) = 0;
+  /// Folds a morsel partial into this state, one call per partial: group k
+  /// of `other` goes to group dst[k]. Groups at or past the current count
+  /// are first occurrences: the state grows to `num_groups` and they take
+  /// other's group state verbatim — the mirror of the reference merge
+  /// MOVING a first-occurrence partial into the global slot (merging into an
+  /// empty group would re-round compensated sums). The rest merge — the SoA
+  /// mirror of AggAccumulator::Merge. `other` is the same concrete type, and
+  /// each dst gid appears at most once. Merging partials strictly in morsel
+  /// order keeps results bit-identical across thread counts, exactly like
+  /// the object path.
+  virtual void MergePartial(const FlatAggregator& other, const uint32_t* dst,
+                            size_t n, size_t num_groups) = 0;
+  /// Finalized value of one group — the per-group reference FinalizeColumn
+  /// is pinned to (TypedColumnTest in tests/test_flat_agg.cc).
   virtual Value FinalizeGroup(uint32_t gid) const = 0;
+  /// The finalized column over every group, built in typed lanes: exactly
+  /// the column that Append(FinalizeGroup(g)) for each g in order builds,
+  /// type promotion, NULL placeholders and null mask included.
+  virtual Column FinalizeColumn() const = 0;
 };
 
 /// Creates the SoA accumulator for `spec`, or null when the aggregate is not

@@ -227,6 +227,82 @@ void Column::AppendSelected(const Column& src, const uint32_t* rows,
   size_ += count;
 }
 
+void Column::AppendSelectedValues(const Column& src, size_t base,
+                                  const uint32_t* rows, size_t count) {
+  if (count == 0) return;
+  // Get reads a Bool cell as Value::Bool, which Append stores as Int64.
+  const TypeId st = src.type_ == TypeId::kBool ? TypeId::kInt64 : src.type_;
+  const uint8_t* sn =
+      src.nulls_.empty() ? nullptr : src.nulls_.data() + base;
+  size_t num_null = st == TypeId::kNull ? count : 0;
+  if (st != TypeId::kNull && sn != nullptr) {
+    for (size_t i = 0; i < count; ++i) num_null += sn[rows[i]] != 0;
+  }
+  if (num_null == count) {
+    for (size_t i = 0; i < count; ++i) AppendNull();
+    return;
+  }
+  if (type_ == TypeId::kNull) {
+    // The first value types the column and backfills placeholders for the
+    // NULLs before it, as AppendInt/AppendDouble/AppendString do.
+    type_ = st;
+    if (st == TypeId::kInt64) ints_.assign(size_, 0);
+    if (st == TypeId::kDouble) doubles_.assign(size_, 0.0);
+    if (st == TypeId::kString) strings_.assign(size_, std::string());
+  }
+  if (type_ != st) {
+    for (size_t i = 0; i < count; ++i) Append(src.Get(base + rows[i]));
+    return;
+  }
+  // NULL slots get the zero/empty placeholder Append writes for them.
+  auto is_null = [&](size_t i) { return sn != nullptr && sn[rows[i]] != 0; };
+  switch (type_) {
+    case TypeId::kNull:
+      break;
+    case TypeId::kBool:
+    case TypeId::kInt64: {
+      const size_t at = ints_.size();
+      ints_.resize(at + count);
+      kernels::Ops().gather_i64(src.ints_.data() + base, rows, count,
+                                ints_.data() + at);
+      if (num_null > 0) {
+        for (size_t i = 0; i < count; ++i) {
+          if (is_null(i)) ints_[at + i] = 0;
+        }
+      }
+      break;
+    }
+    case TypeId::kDouble: {
+      const size_t at = doubles_.size();
+      doubles_.resize(at + count);
+      kernels::Ops().gather_f64(src.doubles_.data() + base, rows, count,
+                                doubles_.data() + at);
+      if (num_null > 0) {
+        for (size_t i = 0; i < count; ++i) {
+          if (is_null(i)) doubles_[at + i] = 0.0;
+        }
+      }
+      break;
+    }
+    case TypeId::kString:
+      strings_.reserve(strings_.size() + count);
+      for (size_t i = 0; i < count; ++i) {
+        if (is_null(i)) {
+          strings_.emplace_back();
+        } else {
+          strings_.push_back(src.strings_[base + rows[i]]);
+        }
+      }
+      break;
+  }
+  // Append keeps a mask once any NULL has been appended, and only then.
+  if (num_null > 0 || !nulls_.empty()) {
+    EnsureNullMask();
+    for (size_t i = 0; i < count; ++i) nulls_.push_back(is_null(i) ? 1 : 0);
+  }
+  size_ += count;
+}
+
 Column Column::FromData(TypeId type, std::vector<int64_t> ints,
                         std::vector<double> doubles,
                         std::vector<std::string> strings,

@@ -67,6 +67,16 @@ class Column {
   /// Appends src rows `rows[0..count)` (a selection vector) in order.
   void AppendSelected(const Column& src, const uint32_t* rows, size_t count);
 
+  /// Appends src rows base + rows[0..count) with exactly the result of
+  /// Append(src.Get(base + rows[i])) per row: Bool cells arrive as Int64, an
+  /// untyped column stays untyped through NULLs and takes the first value's
+  /// type, and mismatched types promote (Int64 -> Double) or store NULL
+  /// (string/numeric clash). Matching types take typed bulk lanes; only a
+  /// mismatch falls back to per-value Append. Grouped aggregation gathers
+  /// its key columns with it, so they equal a per-group Append loop.
+  void AppendSelectedValues(const Column& src, size_t base,
+                            const uint32_t* rows, size_t count);
+
   /// Adopts prebuilt typed storage (the batch evaluator's output path). The
   /// vector matching `type` carries the data; `nulls` is either empty (no
   /// nulls) or one flag per row. Unused vectors must be empty.

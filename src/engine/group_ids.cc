@@ -137,10 +137,9 @@ bool CellsEqual2(const Column& a, size_t ra, const Column& b, size_t rb) {
   return false;
 }
 
-/// Cross-column cell equality under ValueGroupKey equivalence; unlike
-/// CellsEqual the two cells may come from differently-typed columns (an
-/// Int64 key joining a Double key), so numerics compare by value.
-bool CellsEqualCross(const Column& a, size_t ra, const Column& b, size_t rb) {
+}  // namespace
+
+bool GroupCellsEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
   const bool an = a.IsNull(ra);
   if (an != b.IsNull(rb)) return false;
   if (an) return true;
@@ -163,8 +162,6 @@ bool CellsEqualCross(const Column& a, size_t ra, const Column& b, size_t rb) {
   }
   return false;
 }
-
-}  // namespace
 
 void HashGroupColumn(const Column& col, size_t num_rows,
                      std::vector<uint64_t>* hashes) {
@@ -243,7 +240,7 @@ void HashJoinKeyColumns(const std::vector<const Column*>& keys, size_t begin,
 bool JoinKeysEqual(const std::vector<const Column*>& a, size_t arow,
                    const std::vector<const Column*>& b, size_t brow) {
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!CellsEqualCross(*a[i], arow, *b[i], brow)) return false;
+    if (!GroupCellsEqual(*a[i], arow, *b[i], brow)) return false;
   }
   return true;
 }

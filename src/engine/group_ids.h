@@ -58,16 +58,23 @@ void HashGroupColumnRange(const Column& col, size_t begin, size_t end,
 bool GroupRowsEqual(const std::vector<const Column*>& cols, size_t a,
                     size_t b);
 
+/// Cross-column cell equality under ValueGroupKey equivalence: row `ra` of
+/// `a` vs row `rb` of `b`, which may differ in type. NULL equals NULL, NaN
+/// equals NaN, -0.0 equals 0.0, numerics compare by value across Int64 and
+/// Double (5 == 5.0), strings never equal numerics — GroupValuesEqual on the
+/// two cells, without boxing them. The merge table's key verification and
+/// JoinKeysEqual's per-column check.
+bool GroupCellsEqual(const Column& a, size_t ra, const Column& b, size_t rb);
+
 /// Per-value group hash under the same equivalence the column hashers use:
 /// 5 (Int64) and 5.0 (Double) hash equally, every NaN hashes to one class,
-/// -0.0 hashes like 0, NULL gets its own tag. Feeds the hashed partial-merge
-/// table and the flat DISTINCT value set.
+/// -0.0 hashes like 0, NULL gets its own tag. Feeds the flat DISTINCT value
+/// set.
 uint64_t GroupValueHash(const Value& v);
 
 /// Value equality under ValueGroupKey equivalence — the Value mirror of
-/// GroupRowsEqual's per-cell check (Value::Compare cannot serve here: it
-/// buckets NaN as equal to everything, while grouping needs NaN == NaN
-/// only).
+/// GroupCellsEqual (Value::Compare cannot serve here: it buckets NaN as
+/// equal to everything, while grouping needs NaN == NaN only).
 bool GroupValuesEqual(const Value& a, const Value& b);
 
 // ---------------------------------------------------------- join-key hashing

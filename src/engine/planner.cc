@@ -66,6 +66,44 @@ size_t BitmapSelect(const kernels::Bitmap& bits,
   return lo * 64 + static_cast<size_t>(__builtin_ctzll(word));
 }
 
+/// The cross-morsel merge of both morsel-partial aggregation sinks. Each
+/// Part carries `keys` (typed key columns, one row per local group) and
+/// `hashes` (one per local group). Morsel 0's partial becomes the global
+/// state verbatim — adopt(part) takes its aggregate state; every morsel-0
+/// group is a first occurrence — so a one-morsel input merges nothing.
+/// Later partials merge in morsel order through one GroupMergeTable:
+/// fold(part, gids, num_groups) folds partial group k into global gids[k]
+/// (gids at or past the previous group count are first occurrences), and
+/// the folded partial is released. Leaves the key columns in *keys (left
+/// alone when there are no morsels) and returns the group count.
+template <typename Part, typename Adopt, typename Fold>
+Result<size_t> MergeMorselPartials(std::vector<Part>* parts,
+                                   const ExecGuard* guard,
+                                   std::vector<Column>* keys, Adopt&& adopt,
+                                   Fold&& fold) {
+  size_t expected = 0;
+  for (const Part& part : *parts) expected += part.hashes.size();
+  GroupMergeTable merge;
+  merge.set_guard(guard);
+  std::vector<uint32_t> gids;
+  for (size_t m = 0; m < parts->size(); ++m) {
+    Part& part = (*parts)[m];
+    if (m == 0) {
+      merge.Adopt(std::move(part.keys), std::move(part.hashes), expected);
+      adopt(part);
+      continue;
+    }
+    merge.Merge(part.keys, part.hashes, &gids);
+    // A budget trip during merge-table growth latches instead of throwing
+    // mid-probe; discard the partially merged state here.
+    VDB_RETURN_IF_ERROR(merge.guard_status());
+    fold(part, gids, merge.num_groups());
+    part = Part{};
+  }
+  if (!parts->empty()) *keys = merge.TakeKeys();
+  return merge.num_groups();
+}
+
 // ---- rand call-site numbering ---------------------------------------------
 // Every rand/random/rand_poisson node gets a 1-based call-site id, assigned
 // once per statement in a fixed traversal order (select items, WHERE,
@@ -769,16 +807,17 @@ class SelectExecutor {
       specs.push_back(s);
     }
 
-    // Hash aggregation.
-    struct Group {
-      std::vector<Value> keys;
-      std::vector<std::unique_ptr<AggAccumulator>> accs;
-    };
-    std::vector<Group> groups;
+    // Hash aggregation. Every path below leaves its groups in
+    // first-occurrence order as typed key columns (one row per group,
+    // Column::Append semantics) plus either the flat sink's SoA aggregators
+    // or one accumulator object per group and aggregate.
+    using Accs = std::vector<std::unique_ptr<AggAccumulator>>;
+    const size_t gk = stmt->group_by.size();
+    std::vector<Column> key_cols(gk);
+    std::vector<Accs> groups;  // object sinks: accumulators per group
 
-    auto make_accs =
-        [&]() -> Result<std::vector<std::unique_ptr<AggAccumulator>>> {
-      std::vector<std::unique_ptr<AggAccumulator>> accs;
+    auto make_accs = [&]() -> Result<Accs> {
+      Accs accs;
       accs.reserve(specs.size());
       for (const auto& s : specs) {
         auto acc = CreateAccumulator(s);
@@ -825,8 +864,6 @@ class SelectExecutor {
         flats.push_back(std::move(f));
       }
     }
-    GroupMergeTable flat_merge;  // global key -> dense gid (flat sink)
-    size_t flat_ngroups = 0;
 
     if (filter != nullptr && !flat) {
       SelVector sel;
@@ -877,34 +914,31 @@ class SelectExecutor {
       for (size_t r = 0; r < n; ++r) {
         group_rows[ga.gid_of_row[r]].push_back(static_cast<uint32_t>(r));
       }
+      for (size_t i = 0; i < gk; ++i) {
+        key_cols[i].AppendSelectedValues(gcols[i], 0, ga.rep_row.data(),
+                                         ga.num_groups());
+      }
       for (size_t g = 0; g < ga.num_groups(); ++g) {
-        Group grp;
-        grp.keys.reserve(gcols.size());
-        for (const auto& gc : gcols) grp.keys.push_back(gc.Get(ga.rep_row[g]));
         auto accs = make_accs();
         if (!accs.ok()) return accs.status();
-        grp.accs = std::move(accs).ValueOrDie();
-        groups.push_back(std::move(grp));
+        groups.push_back(std::move(accs).ValueOrDie());
       }
       // An aggregate without GROUP BY keys emits one row even over an empty
       // input (count(*) = 0, sum = NULL, ...).
-      if (stmt->group_by.empty() && groups.empty()) {
-        Group grp;
+      if (gk == 0 && groups.empty()) {
         auto accs = make_accs();
         if (!accs.ok()) return accs.status();
-        grp.accs = std::move(accs).ValueOrDie();
-        groups.push_back(std::move(grp));
+        groups.push_back(std::move(accs).ValueOrDie());
         group_rows.emplace_back();
       }
 
       for (size_t g = 0; g < groups.size(); ++g) {
         for (size_t i = 0; i < specs.size(); ++i) {
           if (specs[i].arg != nullptr) {
-            groups[g].accs[i]->AddBatch(acols[i], group_rows[g].data(),
-                                        group_rows[g].size());
+            groups[g][i]->AddBatch(acols[i], group_rows[g].data(),
+                                   group_rows[g].size());
           } else {
-            groups[g].accs[i]->AddRepeated(Value::Int(1),
-                                           group_rows[g].size());
+            groups[g][i]->AddRepeated(Value::Int(1), group_rows[g].size());
           }
         }
       }
@@ -917,13 +951,10 @@ class SelectExecutor {
       // depends only on the view's row count, so the output — values, group
       // order, and floating-point rounding — is identical for every thread
       // count and OS schedule.
-      struct LocalGroup {
-        uint64_t hash = 0;  // mixed group-key hash (AssignGroupIds)
-        std::vector<Value> keys;
-        std::vector<std::unique_ptr<AggAccumulator>> accs;
-      };
       struct MorselAgg {
-        std::vector<LocalGroup> groups;
+        std::vector<Column> keys;      // one row per local group
+        std::vector<uint64_t> hashes;  // per local group (AssignGroupIds)
+        std::vector<Accs> groups;
       };
       const size_t n = view.num_rows();
       auto parts_or = ParallelMorselMapStatus<MorselAgg>(
@@ -953,72 +984,58 @@ class SelectExecutor {
             for (size_t r = 0; r < ln; ++r) {
               rows[ga.gid_of_row[r]].push_back(static_cast<uint32_t>(r));
             }
+            res.keys.resize(gcols.size());
+            for (size_t i = 0; i < gcols.size(); ++i) {
+              res.keys[i].AppendSelectedValues(gcols[i], 0, ga.rep_row.data(),
+                                               ga.num_groups());
+            }
+            res.hashes = std::move(ga.group_hash);
             res.groups.reserve(ga.num_groups());
             for (size_t g = 0; g < ga.num_groups(); ++g) {
-              LocalGroup lg;
-              lg.keys.reserve(gcols.size());
-              for (const auto& gc : gcols) {
-                lg.keys.push_back(gc.Get(ga.rep_row[g]));
-              }
-              lg.hash = ga.group_hash[g];
               auto accs = make_accs();
               if (!accs.ok()) return accs.status();
-              lg.accs = std::move(accs).ValueOrDie();
+              Accs& lg = res.groups.emplace_back(std::move(accs).ValueOrDie());
               for (size_t i = 0; i < specs.size(); ++i) {
                 if (specs[i].arg != nullptr) {
-                  lg.accs[i]->AddBatch(acols[i], rows[g].data(),
-                                       rows[g].size());
+                  lg[i]->AddBatch(acols[i], rows[g].data(), rows[g].size());
                 } else {
-                  lg.accs[i]->AddRepeated(Value::Int(1), rows[g].size());
+                  lg[i]->AddRepeated(Value::Int(1), rows[g].size());
                 }
               }
-              res.groups.push_back(std::move(lg));
             }
             return Status::Ok();
           });
       if (!parts_or.ok()) return parts_or.status();
       std::vector<MorselAgg>& parts = parts_or.value();
 
-      // Hashed merge: every morsel's AssignGroupIds already computed each
-      // group's key hash (a pure function of the key values, so all morsels
-      // agree); FindOrInsert probes it directly — no per-group string keys.
-      GroupMergeTable merge;
-      merge.set_guard(guard_);
-      merge.Reset(stmt->group_by.size(), 64);
-      for (MorselAgg& part : parts) {
-        for (LocalGroup& lg : part.groups) {
-          bool inserted;
-          const uint32_t gid =
-              merge.FindOrInsert(lg.hash, lg.keys.data(), &inserted);
-          if (inserted) {
-            Group grp;
-            grp.keys = std::move(lg.keys);
-            grp.accs = std::move(lg.accs);
-            groups.push_back(std::move(grp));
-          } else {
-            Group& dst = groups[gid];
-            for (size_t i = 0; i < specs.size(); ++i) {
-              dst.accs[i]->Merge(*lg.accs[i]);
+      // A first occurrence MOVES its accumulators into the global slot.
+      auto merged = MergeMorselPartials(
+          &parts, guard_, &key_cols,
+          [&](MorselAgg& part) { groups = std::move(part.groups); },
+          [&](MorselAgg& part, const std::vector<uint32_t>& gids, size_t) {
+            for (size_t k = 0; k < gids.size(); ++k) {
+              if (gids[k] >= groups.size()) {
+                groups.push_back(std::move(part.groups[k]));
+                continue;
+              }
+              for (size_t i = 0; i < specs.size(); ++i) {
+                groups[gids[k]][i]->Merge(*part.groups[k][i]);
+              }
             }
-          }
-        }
-      }
-      // A budget trip during merge-table growth latches instead of throwing
-      // mid-probe; discard the partially merged state here.
-      VDB_RETURN_IF_ERROR(merge.guard_status());
+          });
+      if (!merged.ok()) return merged.status();
       // An aggregate without GROUP BY keys emits one row even over an empty
       // input (count(*) = 0, sum = NULL, ...).
-      if (stmt->group_by.empty() && groups.empty()) {
-        Group grp;
+      if (gk == 0 && groups.empty()) {
         auto accs = make_accs();
         if (!accs.ok()) return accs.status();
-        grp.accs = std::move(accs).ValueOrDie();
-        groups.push_back(std::move(grp));
+        groups.push_back(std::move(accs).ValueOrDie());
       }
     } else {
-      // Flat sink: per-morsel SoA partials (dense group ids + typed lane
-      // arrays, column-at-a-time scatter), merged strictly in morsel order
-      // through the hashed merge table into the global `flats` state. With a
+      // Flat sink: per-morsel SoA partials (dense group ids, the group keys
+      // gathered once into typed key columns at each group's representative
+      // row, typed lane arrays fed by column-at-a-time scatter), merged
+      // strictly in morsel order through the typed merge table. With a
       // WHERE bitmap, morsels decompose over SURVIVOR RANKS: each morsel
       // dense-evaluates its survivors' physical span (arithmetic is per-row
       // pure and rand is row-addressed, so dense evaluation produces the
@@ -1027,8 +1044,8 @@ class SelectExecutor {
       // expanded to row indices, and the gid sequence, first-occurrence
       // order, and group hashes all match the compacted path's.
       struct MorselFlat {
-        GroupAssignment ga;
-        std::vector<std::vector<Value>> keys;  // per local group
+        std::vector<Column> keys;      // one row per local group
+        std::vector<uint64_t> hashes;  // per local group (group-id pass)
         std::vector<std::unique_ptr<FlatAggregator>> parts;
       };
 
@@ -1106,20 +1123,19 @@ class SelectExecutor {
         std::vector<KeyCol> kcs;
         kcs.reserve(gcols.size());
         for (const auto& gc : gcols) kcs.push_back(KeyCol{gc.col, gc.base});
+        GroupAssignment ga;
         if (filter != nullptr) {
-          AssignGroupIdsSelectedBased(kcs, span, sel_local.data(), ln,
-                                      &res.ga);
+          AssignGroupIdsSelectedBased(kcs, span, sel_local.data(), ln, &ga);
         } else {
-          res.ga = AssignGroupIdsBased(kcs, ln);
+          ga = AssignGroupIdsBased(kcs, ln);
         }
-        const size_t ngroups = res.ga.num_groups();
-        res.keys.resize(ngroups);
-        for (size_t g = 0; g < ngroups; ++g) {
-          res.keys[g].reserve(gcols.size());
-          for (const auto& gc : gcols) {
-            res.keys[g].push_back(gc.col->Get(gc.base + res.ga.rep_row[g]));
-          }
+        const size_t ngroups = ga.num_groups();
+        res.keys.resize(gcols.size());
+        for (size_t i = 0; i < gcols.size(); ++i) {
+          res.keys[i].AppendSelectedValues(*gcols[i].col, gcols[i].base,
+                                           ga.rep_row.data(), ngroups);
         }
+        res.hashes = std::move(ga.group_hash);
         res.parts.reserve(specs.size());
         for (size_t i = 0; i < specs.size(); ++i) {
           auto f = CreateFlatAggregator(specs[i]);
@@ -1128,9 +1144,9 @@ class SelectExecutor {
           const size_t base = specs[i].arg != nullptr ? acols[i].base : 0;
           if (filter != nullptr) {
             f->AddScatterSelected(col, base, sel_local.data(),
-                                  res.ga.gid_of_row.data(), ln);
+                                  ga.gid_of_row.data(), ln);
           } else {
-            f->AddScatter(col, base, res.ga.gid_of_row.data(), ln);
+            f->AddScatter(col, base, ga.gid_of_row.data(), ln);
           }
           res.parts.push_back(std::move(f));
         }
@@ -1141,70 +1157,40 @@ class SelectExecutor {
       if (!parts_or.ok()) return parts_or.status();
       std::vector<MorselFlat>& parts = parts_or.value();
 
-      flat_merge.set_guard(guard_);
-      flat_merge.Reset(stmt->group_by.size(), 64);
-      for (MorselFlat& part : parts) {
-        for (uint32_t g = 0; g < part.keys.size(); ++g) {
-          bool inserted;
-          const uint32_t gid = flat_merge.FindOrInsert(
-              part.ga.group_hash[g], part.keys[g].data(), &inserted);
-          if (inserted) {
-            // First occurrence: verbatim state copy, mirroring the reference
-            // merge loop MOVING the first partial into the global slot
-            // (merging into an empty group would re-round compensated sums).
-            for (auto& f : flats) f->ResizeGroups(flat_merge.num_groups());
+      // Morsel 0's aggregators become the global state; later partials fold
+      // in with one MergePartial per aggregate.
+      auto merged = MergeMorselPartials(
+          &parts, guard_, &key_cols,
+          [&](MorselFlat& part) { flats = std::move(part.parts); },
+          [&](MorselFlat& part, const std::vector<uint32_t>& gids,
+              size_t num_groups) {
             for (size_t i = 0; i < specs.size(); ++i) {
-              flats[i]->CopyGroup(*part.parts[i], gid, g);
+              flats[i]->MergePartial(*part.parts[i], gids.data(), gids.size(),
+                                     num_groups);
             }
-          } else {
-            for (size_t i = 0; i < specs.size(); ++i) {
-              flats[i]->MergeGroup(*part.parts[i], gid, g);
-            }
-          }
-        }
-      }
-      // A budget trip during merge-table growth latches instead of throwing
-      // mid-probe; discard the partially merged state here.
-      VDB_RETURN_IF_ERROR(flat_merge.guard_status());
-      flat_ngroups = flat_merge.num_groups();
+          });
+      if (!merged.ok()) return merged.status();
       // An aggregate without GROUP BY keys emits one row even over an empty
       // input (count(*) = 0, sum = NULL, ...).
-      if (stmt->group_by.empty() && flat_ngroups == 0) {
-        flat_ngroups = 1;
+      if (gk == 0 && merged.value() == 0) {
         for (auto& f : flats) f->ResizeGroups(1);
       }
     }
 
-    // Materialize the aggregate table: group cols then agg cols.
+    // Materialize the aggregate table: group cols then agg cols. The flat
+    // sink finalizes each aggregate straight into a typed column.
     auto agg_table = std::make_shared<Table>();
-    const size_t gk = stmt->group_by.size();
-    {
-      std::vector<Column> cols(gk + specs.size());
+    for (size_t i = 0; i < gk; ++i) {
+      agg_table->AddColumn("__g" + std::to_string(i), std::move(key_cols[i]));
+    }
+    for (size_t i = 0; i < specs.size(); ++i) {
+      Column col;
       if (flat) {
-        for (size_t g = 0; g < flat_ngroups; ++g) {
-          const Value* keys =
-              flat_merge.group_keys(static_cast<uint32_t>(g));
-          for (size_t i = 0; i < gk; ++i) cols[i].Append(keys[i]);
-          for (size_t i = 0; i < specs.size(); ++i) {
-            cols[gk + i].Append(
-                flats[i]->FinalizeGroup(static_cast<uint32_t>(g)));
-          }
-        }
+        col = flats[i]->FinalizeColumn();
+      } else {
+        for (const Accs& g : groups) col.Append(g[i]->Finalize());
       }
-      for (auto& g : groups) {
-        for (size_t i = 0; i < gk; ++i) cols[i].Append(g.keys[i]);
-        for (size_t i = 0; i < specs.size(); ++i) {
-          cols[gk + i].Append(g.accs[i]->Finalize());
-        }
-      }
-      // Empty result columns still need registration.
-      for (size_t i = 0; i < gk; ++i) {
-        agg_table->AddColumn("__g" + std::to_string(i), std::move(cols[i]));
-      }
-      for (size_t i = 0; i < specs.size(); ++i) {
-        agg_table->AddColumn("__a" + std::to_string(i),
-                             std::move(cols[gk + i]));
-      }
+      agg_table->AddColumn("__a" + std::to_string(i), std::move(col));
     }
 
     // Maps from printed expression text to aggregate-table ordinal.

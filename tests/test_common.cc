@@ -56,6 +56,23 @@ TEST(StatusTest, CodesAndMessages) {
   EXPECT_FALSE(bad.ok());
 }
 
+// Result misuse is a defined, loud failure in every build type — the status
+// on stderr, then abort — not an empty-optional dereference in Release.
+TEST(ResultDeathTest, ValueOfErrorPrintsStatusAndAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Result<int> bad = Status::NotFound("no table t");
+  EXPECT_DEATH((void)bad.value(), "NOT_FOUND: no table t");
+  const Result<std::string> cbad = Status::Internal("boom");
+  EXPECT_DEATH((void)cbad.value(), "INTERNAL: boom");
+  EXPECT_DEATH((void)Result<int>(Status::Cancelled("stop")).ValueOrDie(),
+               "CANCELLED: stop");
+}
+
+TEST(ResultDeathTest, ResultFromOkStatusAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(Result<int>{Status::Ok()}, "OK Status");
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(1), b(1), c(2);
   EXPECT_EQ(a.Next(), b.Next());

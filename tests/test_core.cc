@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
@@ -325,6 +326,44 @@ TEST_F(VerdictE2E, RewrittenSqlIsExposed) {
   EXPECT_NE(info.rewritten_sql.find("__vdb_sid"), std::string::npos);
   EXPECT_NE(info.rewritten_sql.find("big_vdb_uniform"), std::string::npos);
   EXPECT_GT(info.subsamples, 1);
+}
+
+TEST_F(VerdictE2E, StatementLogStaysBoundedAcrossQueries) {
+  // The log restarts with every user query: a query leaves exactly its own
+  // statements, the same number every time it runs, never the history.
+  const driver::Connection& conn = ctx_->connection();
+  const char* const kQueries[] = {
+      "select count(*) as c from big",
+      "select g10, sum(value) as s from big group by g10",
+      "select id, sum(value) as s from big group by id limit 5",
+  };
+  size_t first_run[3] = {0, 0, 0};
+  for (int i = 0; i < 60; ++i) {
+    const char* sql = kQueries[i % 3];
+    ASSERT_TRUE(ctx_->Execute(sql).ok()) << sql;
+    const size_t n = conn.statement_log().size();
+    ASSERT_GT(n, 0u) << sql;
+    if (i < 3) first_run[i] = n;
+    ASSERT_EQ(n, first_run[i % 3]) << sql << " run " << i;
+  }
+  // The last query was the passthrough: its exact statement ends the log.
+  EXPECT_NE(conn.statement_log().back().find("limit 5"), std::string::npos)
+      << conn.statement_log().back();
+
+  // Offline-stage statements issued after a query stay visible until the
+  // next user query starts.
+  ASSERT_TRUE(
+      ctx_->sample_builder().CreateHashedSample("big", "id", 0.02).ok());
+  const std::vector<std::string> with_build = conn.statement_log();
+  ASSERT_GT(with_build.size(), first_run[2]);
+  ASSERT_TRUE(ctx_->Execute(kQueries[0]).ok());
+  for (const std::string& stmt : conn.statement_log()) {
+    EXPECT_EQ(std::find(with_build.begin() + static_cast<std::ptrdiff_t>(
+                                                 first_run[2]),
+                        with_build.end(), stmt),
+              with_build.end())
+        << "sample-build statement survived the next query: " << stmt;
+  }
 }
 
 // ---------------------------------------------------------------------------

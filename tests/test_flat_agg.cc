@@ -19,9 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "engine/agg_table.h"
+#include "engine/aggregates.h"
 #include "engine/database.h"
 #include "engine/kernels/kernels.h"
 #include "engine/planner.h"
@@ -373,6 +377,536 @@ TEST_F(FlatAggTest, TinyMorselsAndTinyTables) {
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Typed grouped output vs. an independent oracle
+// ---------------------------------------------------------------------------
+//
+// The differential tests above pin the flat sink to the object sink, but the
+// two now share the key gather and the merge table. These pin both to a
+// naive oracle that shares nothing with them: an ordered map from the
+// ValueGroupKey tuple of each key to its group, in first-occurrence order,
+// with per-morsel Neumaier partials merged in morsel order exactly as the
+// engine's contract states. Keys, column types, null masks, group order and
+// aggregate bits must all match.
+
+/// Every raw cell of a column, placeholders under NULL included.
+void ExpectSameColumn(const Column& want, const Column& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.type(), got.type()) << what;
+  ASSERT_EQ(want.size(), got.size()) << what;
+  ASSERT_EQ(want.NullData() == nullptr, got.NullData() == nullptr)
+      << what << ": null mask presence";
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(want.IsNull(r), got.IsNull(r)) << what << " row " << r;
+    switch (want.type()) {
+      case TypeId::kNull:
+        break;
+      case TypeId::kBool:
+      case TypeId::kInt64:
+        ASSERT_EQ(want.GetInt(r), got.GetInt(r)) << what << " row " << r;
+        break;
+      case TypeId::kDouble: {
+        uint64_t a, b;
+        const double x = want.GetDouble(r), y = got.GetDouble(r);
+        std::memcpy(&a, &x, 8);
+        std::memcpy(&b, &y, 8);
+        ASSERT_EQ(a, b) << what << " row " << r << ": " << x << " vs " << y;
+        break;
+      }
+      case TypeId::kString:
+        ASSERT_EQ(want.GetString(r), got.GetString(r)) << what << " row " << r;
+        break;
+    }
+  }
+}
+
+constexpr size_t kOracleRows = 40000;  // default morsel size + a ragged tail
+
+/// id, k (small int domain), s (strings + NULLs), d (NaN, ±0.0, NULL, ...),
+/// v (full-mantissa doubles + NULLs), w (ints + NULLs).
+TablePtr BuildOracleTable() {
+  Rng rng(kSeed + 1);
+  auto t = std::make_shared<Table>();
+  for (const char* name : {"id", "k", "w"}) t->AddColumn(name, TypeId::kInt64);
+  t->AddColumn("s", TypeId::kString);
+  t->AddColumn("d", TypeId::kDouble);
+  t->AddColumn("v", TypeId::kDouble);
+  static const char* kStrs[] = {"a", "b", "", "ab"};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t r = 0; r < kOracleRows; ++r) {
+    Value d;
+    switch (rng.NextBounded(6)) {
+      case 0: d = Value::Double(nan); break;
+      case 1: d = Value::Double(-0.0); break;
+      case 2: d = Value::Double(0.0); break;
+      case 3: d = Value::Null(); break;
+      default: d = Value::Double(static_cast<double>(rng.NextInRange(-2, 2)));
+    }
+    t->AppendRow({Value::Int(static_cast<int64_t>(r)),
+                  Value::Int(rng.NextInRange(-2, 2)),
+                  rng.NextBernoulli(0.1) ? Value::Null()
+                                         : Value::Int(rng.NextInRange(-50, 50)),
+                  rng.NextBernoulli(0.1) ? Value::Null()
+                                         : Value::String(kStrs[rng.NextBounded(4)]),
+                  d,
+                  rng.NextBernoulli(0.1)
+                      ? Value::Null()
+                      : Value::Double(rng.NextDouble() * 1e9 - 5e8)});
+  }
+  return t;
+}
+
+/// One GROUP BY shape: its key expressions in SQL and the oracle's value of
+/// each key at a table row.
+struct OracleShape {
+  std::string keys_sql;
+  std::function<std::vector<Value>(const Table&, size_t)> keys;
+};
+
+/// Key column `name` of row r.
+Value Cell(const Table& t, const char* name, size_t r) {
+  return t.column(static_cast<size_t>(t.ColumnIndex(name))).Get(r);
+}
+
+std::vector<OracleShape> OracleShapes() {
+  return {
+      // NULL for the first 7 rows, then Int64 for 7, then Double: with
+      // 7-row morsels the key column changes type across morsels (kNull,
+      // Int64, Double), and integral doubles must merge with the Int64 keys.
+      {"case when id < 7 then null when id < 14 then k "
+       "else k + (id % 2) * 0.5 end",
+       [](const Table& t, size_t r) -> std::vector<Value> {
+         const int64_t k = Cell(t, "k", r).AsInt();
+         if (r < 7) return {Value::Null()};
+         if (r < 14) return {Value::Int(k)};
+         return {Value::Double(static_cast<double>(k) +
+                               static_cast<double>(r % 2) * 0.5)};
+       }},
+      {"s", [](const Table& t, size_t r) -> std::vector<Value> {
+         return {Cell(t, "s", r)};
+       }},
+      {"s, k", [](const Table& t, size_t r) -> std::vector<Value> {
+         return {Cell(t, "s", r), Cell(t, "k", r)};
+       }},
+      {"d", [](const Table& t, size_t r) -> std::vector<Value> {
+         return {Cell(t, "d", r)};
+       }},
+      {"d, s, k", [](const Table& t, size_t r) -> std::vector<Value> {
+         return {Cell(t, "d", r), Cell(t, "s", r), Cell(t, "k", r)};
+       }},
+  };
+}
+
+/// Naive grouped aggregation: count(*), sum(v), sum(w) per key tuple.
+struct OracleGroup {
+  std::vector<Value> key;  // first occurrence
+  int64_t count = 0;
+  double sv = 0, cv = 0, sw = 0, cw = 0;  // Neumaier (sum, comp) pairs
+  bool any_v = false, any_w = false;
+};
+
+void Neumaier(double& sum, double& comp, double x) {
+  const double t = sum + x;
+  comp += std::abs(sum) >= std::abs(x) ? (sum - t) + x : (x - t) + sum;
+  sum = t;
+}
+
+std::vector<OracleGroup> RunOracle(const Table& t, const OracleShape& shape,
+                                   size_t morsel_rows) {
+  const Column& v = t.column(static_cast<size_t>(t.ColumnIndex("v")));
+  const Column& w = t.column(static_cast<size_t>(t.ColumnIndex("w")));
+  auto key_of = [](const std::vector<Value>& key) {
+    std::vector<std::string> out;
+    for (const Value& x : key) out.push_back(ValueGroupKey(x));
+    return out;
+  };
+  std::vector<OracleGroup> global;
+  std::map<std::vector<std::string>, size_t> global_index;
+  for (size_t begin = 0; begin < t.num_rows(); begin += morsel_rows) {
+    const size_t end = std::min(t.num_rows(), begin + morsel_rows);
+    std::vector<OracleGroup> local;
+    std::map<std::vector<std::string>, size_t> local_index;
+    for (size_t r = begin; r < end; ++r) {
+      std::vector<Value> key = shape.keys(t, r);
+      auto [it, fresh] = local_index.emplace(key_of(key), local.size());
+      if (fresh) local.push_back(OracleGroup{key});
+      OracleGroup& g = local[it->second];
+      ++g.count;
+      if (!v.IsNull(r)) {
+        g.any_v = true;
+        Neumaier(g.sv, g.cv, v.GetDouble(r));
+      }
+      if (!w.IsNull(r)) {
+        g.any_w = true;
+        Neumaier(g.sw, g.cw, static_cast<double>(w.GetInt(r)));
+      }
+    }
+    for (OracleGroup& lg : local) {
+      auto [it, fresh] = global_index.emplace(key_of(lg.key), global.size());
+      if (fresh) {
+        global.push_back(lg);  // a first occurrence is copied, not merged
+        continue;
+      }
+      OracleGroup& g = global[it->second];
+      g.count += lg.count;
+      Neumaier(g.sv, g.cv, lg.sv);
+      Neumaier(g.sv, g.cv, lg.cv);
+      Neumaier(g.sw, g.cw, lg.sw);
+      Neumaier(g.sw, g.cw, lg.cw);
+      g.any_v = g.any_v || lg.any_v;
+      g.any_w = g.any_w || lg.any_w;
+    }
+  }
+  return global;
+}
+
+/// The expected result columns: keys, count(*), sum(v), sum(w), built with
+/// Column::Append in group order.
+std::vector<Column> OracleColumns(const std::vector<OracleGroup>& groups,
+                                  size_t num_keys) {
+  std::vector<Column> cols(num_keys + 3);
+  for (const OracleGroup& g : groups) {
+    for (size_t i = 0; i < num_keys; ++i) cols[i].Append(g.key[i]);
+    cols[num_keys].Append(Value::Int(g.count));
+    cols[num_keys + 1].Append(g.any_v ? Value::Double(g.sv + g.cv)
+                                      : Value::Null());
+    cols[num_keys + 2].Append(
+        g.any_w ? Value::Int(static_cast<int64_t>(std::llround(g.sw + g.cw)))
+                : Value::Null());
+  }
+  return cols;
+}
+
+TEST_F(FlatAggTest, TypedGroupedOutputMatchesNaiveOracle) {
+  const TablePtr table = BuildOracleTable();
+  SetMorselRowsForTest(0);
+  const size_t default_morsel = MorselRows();
+  ASSERT_LT(default_morsel, kOracleRows) << "default size must split the input";
+  for (const OracleShape& shape : OracleShapes()) {
+    const size_t num_keys = shape.keys(*table, 0).size();
+    // Keys are grouped directly (not through a derived table), so each
+    // morsel evaluates them itself and a CASE key takes its type per morsel.
+    const std::string sql = "select " + shape.keys_sql +
+                            ", count(*) as c, sum(v) as sv, sum(w) as sw "
+                            "from o group by " + shape.keys_sql;
+    for (size_t morsel : {kOracleRows, size_t{7}, default_morsel}) {
+      SetMorselRowsForTest(morsel);
+      const std::vector<Column> want =
+          OracleColumns(RunOracle(*table, shape, morsel), num_keys);
+      for (uint64_t mask : {~uint64_t{0}, uint64_t{0x3}}) {
+        SetGroupHashMaskForTest(mask);
+        for (bool flat : {true, false}) {
+          SetFlatAggSinkForTest(flat);
+          for (int threads : {1, 2, 8}) {
+            Database db(kSeed);
+            db.set_num_threads(threads);
+            ASSERT_TRUE(db.RegisterTable("o", table).ok());
+            auto got = db.Execute(sql);
+            ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
+            const Table& out = *got.value().table;
+            ASSERT_EQ(out.num_columns(), want.size()) << sql;
+            for (size_t c = 0; c < want.size(); ++c) {
+              ExpectSameColumn(want[c], out.column(c),
+                               sql + " col " + std::to_string(c) +
+                                   " morsel=" + std::to_string(morsel) +
+                                   " mask=" + std::to_string(mask) +
+                                   (flat ? " flat" : " object") + " @" +
+                                   std::to_string(threads));
+              if (::testing::Test::HasFatalFailure()) return;
+            }
+          }
+        }
+        SetFlatAggSinkForTest(true);
+      }
+      SetGroupHashMaskForTest(~0ull);
+    }
+  }
+}
+
+TEST_F(FlatAggTest, LaterMorselFirstOccurrenceIsCopiedNotMerged) {
+  // Group 1 first appears in morsel 1 and repeats in morsel 2. Its morsel-1
+  // Neumaier state must be copied into the global slot: merging it into an
+  // empty state instead re-rounds, and with these magnitudes the final sum
+  // then differs in the last bit.
+  const std::vector<double> first = {6612079156963981.0, 5698047861365940.0,
+                                     8975430504727093.0};
+  const std::vector<double> repeat = {-8369800745865843.0,
+                                      -1.1920442645465444e-16};
+  auto t = std::make_shared<Table>();
+  for (const char* name : {"k", "w"}) t->AddColumn(name, TypeId::kInt64);
+  t->AddColumn("v", TypeId::kDouble);
+  auto add_morsel = [&](const std::vector<double>& group1) {
+    for (size_t r = 0; r < 7; ++r) {
+      const bool g1 = r < group1.size();
+      t->AppendRow({Value::Int(g1 ? 1 : 0), Value::Int(0),
+                    Value::Double(g1 ? group1[r] : 1.0)});
+    }
+  };
+  add_morsel({});
+  add_morsel(first);
+  add_morsel(repeat);
+
+  // The two semantics really differ on this data.
+  double fs = 0, fc = 0, rs = 0, rc = 0;
+  for (double x : first) Neumaier(fs, fc, x);
+  for (double x : repeat) Neumaier(rs, rc, x);
+  double copy_s = fs, copy_c = fc, merged_s = 0, merged_c = 0;
+  Neumaier(merged_s, merged_c, fs);
+  Neumaier(merged_s, merged_c, fc);
+  for (double x : {rs, rc}) {
+    Neumaier(copy_s, copy_c, x);
+    Neumaier(merged_s, merged_c, x);
+  }
+  ASSERT_NE(copy_s + copy_c, merged_s + merged_c);
+
+  const OracleShape shape{"k", [](const Table& tab, size_t r) {
+                            return std::vector<Value>{Cell(tab, "k", r)};
+                          }};
+  SetMorselRowsForTest(7);
+  const std::vector<Column> want = OracleColumns(RunOracle(*t, shape, 7), 1);
+  ASSERT_EQ(want[2].GetDouble(1), copy_s + copy_c);
+  for (bool flat : {true, false}) {
+    SetFlatAggSinkForTest(flat);
+    for (int threads : {1, 8}) {
+      Database db(kSeed);
+      db.set_num_threads(threads);
+      ASSERT_TRUE(db.RegisterTable("o", t).ok());
+      auto got = db.Execute(
+          "select k, count(*) as c, sum(v) as sv, sum(w) as sw from o "
+          "group by k");
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      for (size_t c = 0; c < want.size(); ++c) {
+        ExpectSameColumn(want[c], got.value().table->column(c),
+                         "col " + std::to_string(c) + (flat ? " flat" : " object") +
+                             " @" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Typed building blocks vs. their per-value definitions
+// ---------------------------------------------------------------------------
+
+/// A column of `n` cells of `type` (kBool/kInt64/kDouble/kString/kNull)
+/// with NULLs at probability p_null, drawn from small domains so groups
+/// repeat; doubles include NaN and ±0.0.
+Column FuzzColumn(Rng* rng, TypeId type, size_t n, double p_null) {
+  Column c(type);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t r = 0; r < n; ++r) {
+    if (type == TypeId::kNull || rng->NextBernoulli(p_null)) {
+      c.AppendNull();
+      continue;
+    }
+    switch (type) {
+      case TypeId::kBool: c.Append(Value::Bool(rng->NextBernoulli(0.5))); break;
+      case TypeId::kInt64: c.AppendInt(rng->NextInRange(-3, 3)); break;
+      case TypeId::kDouble: {
+        const uint64_t pick = rng->NextBounded(5);
+        c.AppendDouble(pick == 0   ? nan
+                       : pick == 1 ? -0.0
+                                   : static_cast<double>(rng->NextInRange(-2, 2)) * 0.75);
+        break;
+      }
+      case TypeId::kString: c.AppendString(rng->NextBernoulli(0.5) ? "x" : "yz"); break;
+      case TypeId::kNull: break;
+    }
+  }
+  return c;
+}
+
+const TypeId kAllTypes[] = {TypeId::kNull, TypeId::kBool, TypeId::kInt64,
+                            TypeId::kDouble, TypeId::kString};
+
+TEST(TypedColumnTest, AppendSelectedValuesEqualsPerValueAppend) {
+  Rng rng(kSeed + 2);
+  for (int trial = 0; trial < 400; ++trial) {
+    // A destination already holding a prefix (possibly NULL-only or of
+    // another type), then a selected gather from a source of any type.
+    const TypeId dst_type = kAllTypes[rng.NextBounded(5)];
+    const TypeId src_type = kAllTypes[rng.NextBounded(5)];
+    const double p_null = rng.NextBernoulli(0.3) ? 0.0 : rng.NextDouble();
+    const Column prefix = FuzzColumn(&rng, dst_type, rng.NextBounded(4), p_null);
+    const Column src = FuzzColumn(&rng, src_type, 40, p_null);
+    const size_t base = rng.NextBounded(5);
+    std::vector<uint32_t> rows;
+    for (uint32_t r = 0; r + base < src.size(); ++r) {
+      if (rng.NextBernoulli(0.4)) rows.push_back(r);
+    }
+    Column want, got;
+    for (size_t r = 0; r < prefix.size(); ++r) {
+      want.Append(prefix.Get(r));
+      got.Append(prefix.Get(r));
+    }
+    for (uint32_t r : rows) want.Append(src.Get(base + r));
+    got.AppendSelectedValues(src, base, rows.data(), rows.size());
+    ExpectSameColumn(want, got, "trial " + std::to_string(trial));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(TypedColumnTest, FinalizeColumnEqualsFinalizeGroupAppendLoop) {
+  Rng rng(kSeed + 3);
+  sql::Expr arg;  // non-null: count(x) rather than count(*)
+  const char* const kAggs[] = {"count", "sum", "avg", "min",
+                               "max", "var_samp", "stddev"};
+  for (int trial = 0; trial < 300; ++trial) {
+    for (const char* name : kAggs) {
+      AggSpec spec;
+      spec.name = name;
+      spec.arg = (std::string(name) == "count" && rng.NextBernoulli(0.5))
+                     ? nullptr
+                     : &arg;
+      const size_t groups = rng.NextBounded(4) == 0 ? rng.NextBounded(2)
+                                                    : 1 + rng.NextBounded(30);
+      // Two partials fed batches of differing argument types (so sums mix
+      // Int64 and Double groups, and min/max mix value types), the second
+      // merged into the first; some groups never see a value.
+      std::unique_ptr<FlatAggregator> parts[2];
+      for (auto& part : parts) {
+        part = CreateFlatAggregator(spec);
+        ASSERT_NE(part, nullptr) << name;
+        part->ResizeGroups(groups);
+        if (groups == 0) continue;
+        const int batches = static_cast<int>(rng.NextBounded(3));
+        for (int b = 0; b < batches; ++b) {
+          TypeId type = kAllTypes[rng.NextBounded(5)];
+          if (type == TypeId::kString && std::string(name) != "min" &&
+              std::string(name) != "max") {
+            type = TypeId::kInt64;  // strings only reach min/max
+          }
+          const size_t n = rng.NextBounded(50);
+          const Column col = FuzzColumn(&rng, type, n, rng.NextDouble() * 0.5);
+          std::vector<uint32_t> gids(n);
+          const size_t touched = 1 + rng.NextBounded(groups);
+          for (auto& g : gids) g = static_cast<uint32_t>(rng.NextBounded(touched));
+          part->AddScatter(spec.arg == nullptr ? nullptr : &col, 0, gids.data(), n);
+        }
+      }
+      // Partial 1's groups land on a shuffled mix of existing and fresh gids.
+      std::vector<uint32_t> dst(groups);
+      std::vector<uint32_t> pool;
+      for (uint32_t g = 0; g < groups; ++g) pool.push_back(g);
+      size_t fresh = 0;
+      for (size_t k = 0; k < groups; ++k) {
+        if (!pool.empty() && rng.NextBernoulli(0.6)) {
+          const size_t i = rng.NextBounded(pool.size());
+          dst[k] = pool[i];
+          pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+          dst[k] = static_cast<uint32_t>(groups + fresh++);
+        }
+      }
+      parts[0]->MergePartial(*parts[1], dst.data(), dst.size(), groups + fresh);
+      Column want;
+      for (uint32_t g = 0; g < groups + fresh; ++g) {
+        want.Append(parts[0]->FinalizeGroup(g));
+      }
+      ExpectSameColumn(want, parts[0]->FinalizeColumn(),
+                       std::string(name) + " trial " + std::to_string(trial));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+/// Merges `partials` (key columns of one row per group) through a
+/// GroupMergeTable and checks gids and key columns against the Value
+/// definition: GroupValuesEqual on the original keys, first occurrence
+/// wins, output via Column::Append.
+void CheckMergeAgainstValues(const std::vector<std::vector<Column>>& partials,
+                             const std::string& what) {
+  std::vector<std::vector<Value>> seen;  // first-occurrence key tuples
+  std::vector<Column> want(partials[0].size());
+  GroupMergeTable merge;
+  std::vector<uint32_t> gids;
+  for (size_t m = 0; m < partials.size(); ++m) {
+    const std::vector<Column>& keys = partials[m];
+    std::vector<const Column*> ptrs;
+    for (const Column& c : keys) ptrs.push_back(&c);
+    std::vector<uint64_t> hashes;
+    HashGroupKeys(ptrs, keys[0].size(), &hashes);
+    std::vector<uint32_t> expect;
+    for (size_t k = 0; k < keys[0].size(); ++k) {
+      std::vector<Value> key;
+      for (const Column& c : keys) key.push_back(c.Get(k));
+      size_t g = 0;
+      while (g < seen.size()) {
+        bool eq = true;
+        for (size_t i = 0; i < key.size(); ++i) {
+          eq = eq && GroupValuesEqual(seen[g][i], key[i]);
+        }
+        if (eq) break;
+        ++g;
+      }
+      if (g == seen.size()) {
+        seen.push_back(key);
+        for (size_t i = 0; i < key.size(); ++i) want[i].Append(key[i]);
+      }
+      expect.push_back(static_cast<uint32_t>(g));
+    }
+    if (m == 0) {
+      merge.Adopt(keys, hashes, 64);
+      for (uint32_t k = 0; k < expect.size(); ++k) {
+        ASSERT_EQ(expect[k], k) << what << ": first partial must be distinct";
+      }
+    } else {
+      merge.Merge(keys, hashes, &gids);
+      ASSERT_TRUE(merge.guard_status().ok());
+      ASSERT_EQ(gids, expect) << what << " partial " << m;
+    }
+    ASSERT_EQ(merge.num_groups(), seen.size()) << what;
+  }
+  const std::vector<Column> got = merge.TakeKeys();
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectSameColumn(want[i], got[i], what + " key " + std::to_string(i));
+  }
+}
+
+Column Col(std::initializer_list<Value> values) {
+  Column c;
+  for (const Value& v : values) c.Append(v);
+  return c;
+}
+
+TEST_F(FlatAggTest, MergeTableKeepsOriginalKeysAcrossLossyTypeChanges) {
+  // Appending Double keys to Int64 keys promotes the column, and above 2^53
+  // two distinct integers promote to the same double; a string key appended
+  // after numeric keys is stored as NULL. Grouping must still follow the
+  // original key values — as the Value-keyed definition does.
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<std::vector<Column>> big_ints = {
+      {Col({Value::Int(big), Value::Int(big + 1), Value::Int(3)})},
+      {Col({Value::Double(3.0), Value::Double(0.5), Value::Double(9.0e15)})},
+      {Col({Value::Int(big + 1), Value::Int(big), Value::Int(7)})},
+      {Col({Value::Double(static_cast<double>(big)), Value::Null()})},
+  };
+  const std::vector<std::vector<Column>> strings_after_ints = {
+      {Col({Value::Int(1), Value::Int(2)})},
+      {Col({Value::String("a"), Value::String("b")})},
+      {Col({Value::Null(), Value::String("a")})},
+      {Col({Value::Int(2), Value::Int(5)})},
+      {Col({Value::Double(1.0), Value::Double(2.5), Value::Null()})},
+      {Col({Value::String("c"), Value::String("b")})},
+  };
+  const std::vector<std::vector<Column>> null_then_types = {
+      {Col({Value::Null()}), Col({Value::String("x")})},
+      {Col({Value::Int(4), Value::Null()}),
+       Col({Value::String("x"), Value::String("x")})},
+      {Col({Value::Double(4.0), Value::Double(-0.0), Value::Null()}),
+       Col({Value::String("x"), Value::Null(), Value::String("y")})},
+      {Col({Value::Bool(true), Value::Int(0)}),
+       Col({Value::Null(), Value::Null()})},
+  };
+  for (uint64_t mask : {~uint64_t{0}, uint64_t{0}}) {
+    SetGroupHashMaskForTest(mask);
+    const std::string m = " mask=" + std::to_string(mask);
+    CheckMergeAgainstValues(big_ints, "big ints" + m);
+    CheckMergeAgainstValues(strings_after_ints, "strings after ints" + m);
+    CheckMergeAgainstValues(null_then_types, "null then types" + m);
   }
 }
 

@@ -382,6 +382,43 @@ TEST_F(GovernorTest, FaultSweepEveryReachableSiteFailsClean) {
   }
 }
 
+TEST_F(GovernorTest, GroupGrowFaultNeverYieldsWrongGroups) {
+  // agg_group_grow is consulted only by the merge table, which has a failure
+  // path. Unguarded scratch tables (per-morsel group ids, DISTINCT sets)
+  // must not latch the fault: they cannot report it, so they would drop
+  // groups and still return OK. An armed site must either fail the query
+  // with its name or leave the answer exact.
+  const std::vector<std::string> queries = {
+      // One morsel: only the morsel-local group table runs.
+      "select count(*) as groups, sum(c) as n from (select k, count(*) as c "
+      "from orders where id < 400 group by k) t",
+      // Nine morsels: the merge table runs too.
+      "select count(*) as groups, sum(c) as n from (select k, id % 97 as m, "
+      "count(*) as c from orders group by k, id % 97) t",
+      "select count(distinct k) as dk, count(distinct id % 97) as dm "
+      "from orders",
+  };
+  auto db = MakeDb(4001, 2);
+  std::vector<ResultSet> clean;
+  for (const std::string& sql : queries) {
+    auto got = db->Execute(sql);
+    ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
+    clean.push_back(std::move(got).ValueOrDie());
+  }
+  ArmFaultPointNth("agg_group_grow", 1, StatusCode::kResourceExhausted);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto got = db->Execute(queries[i]);
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_NE(got.status().message().find("agg_group_grow"),
+                std::string::npos)
+          << got.status().ToString();
+      continue;
+    }
+    ExpectBitIdentical(clean[i], got.value(), queries[i]);
+  }
+}
+
 TEST_F(GovernorTest, EnvSpecArmsAndRejectsMalformedInput) {
   EXPECT_TRUE(ArmFromEnvSpec("agg_partial=3,join_build=1"));
   auto db = MakeDb(2001, 2);
