@@ -15,6 +15,11 @@
 //     morsel holding ~8K of the 10K (100 x 100) groups, the size of the
 //     samples AQP runs on, where per-statement fixed cost (key gather,
 //     finalize) rather than scan throughput sets the latency.
+//   - count-distinct shapes: the middleware's NDV probe,
+//     `select count(distinct g)` over 10 and 100K distinct values, and a
+//     grouped `count(distinct w)` (GROUP BY g10, w over 1K values) — the
+//     flat sink's (value, group) pair sets, built through the dense
+//     group-id arm for these integer domains.
 //
 // Both sinks produce bit-identical results (pinned by FlatAggTest); only
 // the execution strategy differs. --smoke shrinks rows/reps for the
@@ -52,6 +57,20 @@ TablePtr BuildTable(size_t rows, size_t groups, uint64_t seed) {
   t->AddColumn("g", Column::FromData(TypeId::kInt64, std::move(g), {}, {}, {}));
   t->AddColumn("v",
                Column::FromData(TypeId::kDouble, {}, std::move(v), {}, {}));
+  return t;
+}
+
+/// BuildTable plus an Int64 column w uniform over [0, values), drawn from its
+/// own stream so g and v match BuildTable's.
+TablePtr BuildTableWithW(size_t rows, size_t groups, size_t values,
+                         uint64_t seed) {
+  TablePtr t = BuildTable(rows, groups, seed);
+  Rng rng(seed + 1);
+  std::vector<int64_t> w(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    w[r] = static_cast<int64_t>(rng.NextBounded(values));
+  }
+  t->AddColumn("w", Column::FromData(TypeId::kInt64, std::move(w), {}, {}, {}));
   return t;
 }
 
@@ -135,6 +154,31 @@ void RunSmallSampleShape(bool smoke) {
           "group by (g100, sid) 16K rows", rows, reps);
 }
 
+void RunDistinctShapes(bool smoke) {
+  const size_t rows = smoke ? 100'000 : 1'000'000;
+  const int reps = smoke ? 1 : 5;
+  for (const SweepPoint& p :
+       {SweepPoint{10, "10"}, SweepPoint{100'000, "100K"}}) {
+    std::printf("\n== count(distinct g): %zu rows, %s distinct values ==\n",
+                rows, p.label);
+    std::printf("%-34s %10s %12s %10s\n", "sink", "ms", "rows/s", "speedup");
+    Database db(4242);
+    if (!db.RegisterTable("t", BuildTable(rows, p.groups, 31)).ok()) return;
+    RunCase(&db, "select count(distinct g) as d from t",
+            std::string("count(distinct g) (") + p.label + " values)", rows,
+            reps);
+  }
+  std::printf("\n== GROUP BY g10, count(distinct w): %zu rows, 1K values ==\n",
+              rows);
+  std::printf("%-34s %10s %12s %10s\n", "sink", "ms", "rows/s", "speedup");
+  Database db(4242);
+  if (!db.RegisterTable("t", BuildTableWithW(rows, 10, 1'000, 37)).ok()) {
+    return;
+  }
+  RunCase(&db, "select g, count(distinct w) as d from t group by g",
+          "group by g10, count(distinct w)", rows, reps);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,6 +187,7 @@ int main(int argc, char** argv) {
   RunGroupSweep(smoke);
   RunSidShape(smoke);
   RunSmallSampleShape(smoke);
+  RunDistinctShapes(smoke);
   vdb::bench::BenchJsonWrite();
   return 0;
 }

@@ -34,6 +34,14 @@ void ScanExpr(const Expr& e, QueryClass* qc) {
   }
   if (e.kind == ExprKind::kFunction && !e.is_window &&
       vdb::engine::IsAggregateFunction(e.name)) {
+    if (e.distinct && e.name != "count" && !IsExtremeAgg(e.name)) {
+      // The engine honours DISTINCT only in count (min/max ignore it); the
+      // rewriter has no estimator for a distinct sum or mean, so the query
+      // passes through and fails there loudly.
+      qc->supported = false;
+      qc->reason = e.name + "(distinct ...) is not approximated";
+      return;
+    }
     if (IsExtremeAgg(e.name)) {
       qc->has_extreme = true;
     } else if (e.name == "count" && e.distinct) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 namespace vdb::engine {
 
@@ -130,6 +131,145 @@ inline bool NumRowsEqual(const KeyLane* lanes, size_t nlanes, uint32_t a,
     }
   }
   return true;
+}
+
+// ---- dense arm --------------------------------------------------------------
+//
+// Keys that are small dense integers (GROUP BY g, sid: sid = 1 + floor(rand()
+// * b) lies in [1, b]) need no hashing per row: each key tuple maps straight
+// to a slot of a direct-indexed array whose size is the product of the
+// per-column [min, max] ranges. A row looks its gid up there and a fresh slot
+// takes the next gid, so gids, first-occurrence order and representatives are
+// exactly the hash arm's; only the representatives are hashed, with the hash
+// arm's own formula (HashGroupKeys), so group_hash is identical too.
+
+/// Slot-array bound: the key ranges' product may not exceed
+/// max(kDenseSlotsPerRow * rows, kDenseMinSlots) — scratch of at most a few
+/// bytes per row beside the 8-byte per-row hash array the hash arm allocates,
+/// and a floor so that small inputs with domains like 100 x 100 still qualify.
+/// Tuned with bench_agg.
+constexpr uint64_t kDenseSlotsPerRow = 4;
+constexpr uint64_t kDenseMinSlots = uint64_t{1} << 16;
+
+/// Doubles join the dense arm only as exact integers below 2^53 in magnitude
+/// (NaN and infinities fail the bound test); -0.0 indexes like 0, as it
+/// groups with 0 on the hash arm.
+constexpr double kDenseDoubleLimit = 9007199254740992.0;  // 2^53
+
+/// slot(r) = sum over key columns c of (key_c(r) - lo[c]) * stride[c].
+struct DensePlan {
+  std::vector<int64_t> lo;
+  std::vector<uint64_t> stride;
+  uint64_t slots = 1;
+};
+
+/// [min, max] of one lane over rows row_of(0..n); false when a double is not
+/// an exact integer below 2^53. n > 0.
+template <typename RowOf>
+bool LaneRange(const KeyLane& l, RowOf row_of, size_t n, int64_t* lo,
+               int64_t* hi) {
+  int64_t mn = std::numeric_limits<int64_t>::max();
+  int64_t mx = std::numeric_limits<int64_t>::min();
+  if (l.ints != nullptr) {
+    for (size_t k = 0; k < n; ++k) {
+      const int64_t x = l.ints[row_of(k)];
+      mn = std::min(mn, x);
+      mx = std::max(mx, x);
+    }
+  } else {
+    for (size_t k = 0; k < n; ++k) {
+      const double x = l.dbls[row_of(k)];
+      if (!(std::abs(x) < kDenseDoubleLimit)) return false;
+      const int64_t i = static_cast<int64_t>(x);
+      if (static_cast<double>(i) != x) return false;
+      mn = std::min(mn, i);
+      mx = std::max(mx, i);
+    }
+  }
+  *lo = mn;
+  *hi = mx;
+  return true;
+}
+
+/// Plans the dense arm over rows row_of(0..n), or returns false: every key
+/// must be a NULL-free Int64/Bool lane or a NULL-free Double lane of exact
+/// integers, and the ranges' product must stay within the slot bound (itself
+/// below 2^32, so slot indices fit the uint32 gid array they are built in).
+template <typename RowOf>
+bool PlanDense(const std::vector<KeyLane>& lanes, RowOf row_of, size_t n,
+               DensePlan* plan) {
+  if (n == 0) return false;
+  for (const KeyLane& l : lanes) {
+    if (l.nulls != nullptr || (l.ints == nullptr && l.dbls == nullptr)) {
+      return false;
+    }
+  }
+  const uint64_t bound = std::min<uint64_t>(
+      std::max(kDenseSlotsPerRow * static_cast<uint64_t>(n), kDenseMinSlots),
+      GroupTable::kNoGroup);
+  for (const KeyLane& l : lanes) {  // vdb-lint: allow(ungoverned-loop) column-count bounded, not row-proportional
+    int64_t lo = 0, hi = 0;
+    if (!LaneRange(l, row_of, n, &lo, &hi)) return false;
+    // Unsigned difference: exact for any lo <= hi, no signed overflow.
+    const uint64_t range =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+    if (range == 0 || range > bound / plan->slots) return false;
+    plan->lo.push_back(lo);
+    plan->stride.push_back(plan->slots);
+    plan->slots *= range;
+  }
+  return true;
+}
+
+/// The dense arm proper over rows row_of(0..n): gid_of_row, rep_row in
+/// first-occurrence order, then group_hash over the representatives. Slot
+/// indices are built column at a time in gid_of_row itself, then replaced
+/// by gids in one pass.
+template <typename RowOf>
+void AssignDense(const std::vector<KeyCol>& cols,
+                 const std::vector<KeyLane>& lanes, const DensePlan& plan,
+                 RowOf row_of, size_t n, GroupAssignment* out) {
+  uint32_t* idx = out->gid_of_row.data();
+  std::fill(idx, idx + n, 0u);
+  for (size_t c = 0; c < lanes.size(); ++c) {
+    const KeyLane& l = lanes[c];
+    const int64_t lo = plan.lo[c];
+    const uint32_t stride = static_cast<uint32_t>(plan.stride[c]);
+    // (x - lo) and the product stay below the slot count, itself < 2^32.
+    if (l.ints != nullptr) {
+      for (size_t k = 0; k < n; ++k) {
+        idx[k] += static_cast<uint32_t>(l.ints[row_of(k)] - lo) * stride;
+      }
+    } else {
+      for (size_t k = 0; k < n; ++k) {
+        idx[k] += static_cast<uint32_t>(
+                      static_cast<int64_t>(l.dbls[row_of(k)]) - lo) *
+                  stride;
+      }
+    }
+  }
+  // Scratch bounded by max(4 * rows, 2^16) slots, like the hash arm's
+  // 8-byte-per-row hash array.
+  std::vector<uint32_t> slot_gid(plan.slots, GroupTable::kNoGroup);
+  for (size_t k = 0; k < n; ++k) {  // vdb-lint: allow(ungoverned-loop) one group-id pass over a morsel; the morsel claim is the poll point, as for the hash arm's probe
+    uint32_t& g = slot_gid[idx[k]];
+    if (g == GroupTable::kNoGroup) {
+      g = static_cast<uint32_t>(out->rep_row.size());  // vdb-lint: allow(naked-size-narrowing) group count <= row count, guarded by CheckGroupableRows
+      out->rep_row.push_back(static_cast<uint32_t>(row_of(k)));
+    }
+    idx[k] = g;
+  }
+  // Hash the representatives exactly as the hash arm hashes every row.
+  const size_t ng = out->rep_row.size();
+  std::vector<Column> reps(cols.size());
+  std::vector<const Column*> ptrs;
+  ptrs.reserve(cols.size());  // vdb-lint: allow(naked-reserve) column-count bounded
+  for (size_t c = 0; c < cols.size(); ++c) {  // vdb-lint: allow(ungoverned-loop) column-count bounded, not row-proportional
+    reps[c].AppendSelectedValues(*cols[c].col, cols[c].base,
+                                 out->rep_row.data(), ng);
+    ptrs.push_back(&reps[c]);
+  }
+  HashGroupKeys(ptrs, ng, &out->group_hash);
 }
 
 }  // namespace
@@ -372,6 +512,40 @@ void GroupMergeTable::AppendFresh(size_t c, const Column& src,
   dst.AppendSelectedValues(src, 0, fresh_.data(), fresh_.size());
 }
 
+void GroupMergeTable::ForEachExactRun(
+    const std::function<void(uint32_t, const std::vector<Column>&)>& fn)
+    const {
+  if (num_groups_ == 0) return;
+  // Runs break wherever some lossy column's exact segment begins.
+  std::vector<uint32_t> cuts = {0};
+  for (const Segments& sg : exact_) {  // vdb-lint: allow(ungoverned-loop) column-count bounded, not row-proportional
+    cuts.insert(cuts.end(), sg.begins.begin(), sg.begins.end());
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  if (cuts.size() == 1) {
+    fn(0, keys_);
+    return;
+  }
+  cuts.push_back(static_cast<uint32_t>(num_groups_));
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {  // vdb-lint: allow(ungoverned-loop) bounded by the number of lossy appends (at most one per merged morsel)
+    const uint32_t b = cuts[i], e = cuts[i + 1];
+    std::vector<Column> run(keys_.size());
+    for (size_t c = 0; c < keys_.size(); ++c) {  // vdb-lint: allow(ungoverned-loop) column-count bounded, not row-proportional
+      const Segments& sg = exact_[c];
+      if (sg.segs.empty()) {
+        run[c].AppendRange(keys_[c], b, e - b);
+        continue;
+      }
+      const size_t s = static_cast<size_t>(
+          std::upper_bound(sg.begins.begin(), sg.begins.end(), b) -
+          sg.begins.begin() - 1);
+      run[c].AppendRange(sg.segs[s], b - sg.begins[s], e - b);
+    }
+    fn(b, run);
+  }
+}
+
 GroupAssignment AssignGroupIds(const std::vector<const Column*>& cols,
                                size_t num_rows) {
   return AssignGroupIdsBased(ZeroBased(cols), num_rows);
@@ -396,9 +570,16 @@ GroupAssignment AssignGroupIdsBased(const std::vector<KeyCol>& cols,
     return out;
   }
 
+  const std::vector<KeyLane> lanes = MakeKeyLanes(cols);
+  const auto all_rows = [](size_t k) { return k; };
+  DensePlan plan;
+  if (PlanDense(lanes, all_rows, num_rows, &plan)) {
+    AssignDense(cols, lanes, plan, all_rows, num_rows, &out);
+    return out;
+  }
+
   std::vector<uint64_t> hashes;
   HashGroupKeysBased(cols, num_rows, &hashes);
-  const std::vector<KeyLane> lanes = MakeKeyLanes(cols);
 
   GroupTable table;
   table.Reset(std::min<size_t>(num_rows, 64));
@@ -449,9 +630,16 @@ void AssignGroupIdsSelectedBased(const std::vector<KeyCol>& cols,
     return;
   }
 
+  const std::vector<KeyLane> lanes = MakeKeyLanes(cols);
+  const auto selected = [rows](size_t k) -> size_t { return rows[k]; };
+  DensePlan plan;
+  if (PlanDense(lanes, selected, n, &plan)) {
+    AssignDense(cols, lanes, plan, selected, n, out);
+    return;
+  }
+
   std::vector<uint64_t> hashes;
   HashGroupKeysBased(cols, num_dense, &hashes);
-  const std::vector<KeyLane> lanes = MakeKeyLanes(cols);
 
   // Compact the selected rows' hashes so the probe loop streams them.
   std::vector<uint64_t> sel_hashes(n);

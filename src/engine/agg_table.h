@@ -9,12 +9,15 @@
 //     over column key tuples (kernel-backed hashing via HashGroupColumn);
 //   - GroupMergeTable: the morsel-partial merge, keyed on typed group-key
 //     columns whose hashes the producing morsels already computed;
-//   - the flat DISTINCT value set in aggregates.cc.
+//   - the COUNT(DISTINCT) value sets in aggregates.cc (the object sink's
+//     per-group set, and the flat sink's (value, gid) pair set, which is a
+//     GroupMergeTable).
 
 #ifndef VDB_ENGINE_AGG_TABLE_H_
 #define VDB_ENGINE_AGG_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -236,6 +239,16 @@ class GroupMergeTable {
 
   /// Moves out the key columns, one row per group in gid order.
   std::vector<Column> TakeKeys() { return std::move(keys_); }
+
+  /// Visits the groups in gid order as runs of their original keys:
+  /// fn(first_gid, keys) with one column per key holding groups first_gid,
+  /// first_gid + 1, ... as they were adopted or merged, before Append
+  /// semantics promoted or cleared any of them. One run over the stored key
+  /// columns unless an append was lossy. Lets a table that is itself a
+  /// partial merge into another without losing key values.
+  void ForEachExactRun(
+      const std::function<void(uint32_t, const std::vector<Column>&)>& fn)
+      const;
 
  private:
   /// Original key values of a column whose Append-semantics form lost

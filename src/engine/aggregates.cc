@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/governor.h"
 #include "common/hash.h"
 #include "engine/agg_table.h"
 #include "engine/hll.h"
@@ -988,9 +989,184 @@ class FlatVarAgg : public FlatAggregator {
   std::vector<double> m2s_;
 };
 
+/// COUNT(DISTINCT x): the set of distinct non-NULL (x, gid) pairs, kept as a
+/// GroupMergeTable keyed on [x, gid]. The table's typed lanes and lossy-type
+/// segments give the pairs ValueGroupKey equivalence (5 == 5.0, NaN == NaN,
+/// -0.0 == 0.0), as DistinctCountAcc's Value set has per group; counts_[g]
+/// is the number of pairs with gid g.
+///
+/// A scatter call builds its batch's distinct pairs through the group-id
+/// path (AssignGroupIdsBased over x and a gid column, so small integer
+/// domains take the dense arm) and folds them in; the first batch is
+/// adopted. MergePartial maps each of a partial's pairs to its global gid,
+/// re-mixes the pair hash from the stored hash of x alone —
+/// MixGroupHash(hash(x), HashMix64(gid)) is the hash AssignGroupIds gives
+/// the pair — and folds the pairs in order. The pairs are charged to the
+/// guard at site "agg_distinct_pairs", the pair table's slot arrays at
+/// "agg_group_grow".
+class FlatDistinctCountAgg : public FlatAggregator {
+ public:
+  FlatDistinctCountAgg() = default;
+  FlatDistinctCountAgg(const FlatDistinctCountAgg&) = delete;
+  FlatDistinctCountAgg& operator=(const FlatDistinctCountAgg&) = delete;
+  ~FlatDistinctCountAgg() override { GuardRelease(guard_, charged_bytes_); }
+
+  void set_guard(const ExecGuard* guard) override {
+    guard_ = guard;
+    governed_ = true;
+    pairs_.set_guard(guard);
+  }
+  Status status() const override {
+    return status_.ok() ? pairs_.guard_status() : status_;
+  }
+  void ResizeGroups(size_t n) override { counts_.resize(n, 0); }
+  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
+                  size_t n) override {
+    Scatter(*col, base, nullptr, gids, n);
+  }
+  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
+                          const uint32_t* gids, size_t n) override {
+    Scatter(*col, base, rows, gids, n);
+  }
+  void MergePartial(const FlatAggregator& other, const uint32_t* dst,
+                    size_t /*n*/, size_t num_groups) override {
+    const auto& o = static_cast<const FlatDistinctCountAgg&>(other);
+    ResizeGroups(num_groups);
+    const uint64_t mask = GroupHashMaskForTest();
+    o.pairs_.ForEachExactRun(
+        [&](uint32_t first, const std::vector<Column>& keys) {
+          const size_t m = keys[1].size();
+          const int64_t* local = keys[1].IntData();
+          const uint64_t* value_hashes = o.value_hashes_.data() + first;
+          std::vector<int64_t> gids(m);
+          std::vector<uint64_t> hashes(m);
+          for (size_t k = 0; k < m; ++k) {
+            const uint32_t g = dst[local[k]];
+            gids[k] = g;
+            hashes[k] = MixGroupHash(value_hashes[k], HashMix64(g)) & mask;
+          }
+          std::vector<Column> pair_keys(2);
+          pair_keys[0] = keys[0];
+          pair_keys[1] = Column::FromData(TypeId::kInt64, std::move(gids), {},
+                                          {}, {});
+          Fold(std::move(pair_keys), std::move(hashes), value_hashes);
+        });
+  }
+  Value FinalizeGroup(uint32_t g) const override {
+    return Value::Int(counts_[g]);
+  }
+  Column FinalizeColumn() const override {
+    if (counts_.empty()) return Column();
+    return Column::FromData(TypeId::kInt64, counts_, {}, {}, {});
+  }
+
+ private:
+  /// Budget per pair: its x and gid key cells, pair hash and x hash.
+  static constexpr uint64_t kPairBytes = 32;
+
+  /// The distinct pairs of x over rows base + (rows ? rows[k] : k) with gid
+  /// gids[k], folded into the set.
+  void Scatter(const Column& col, size_t base, const uint32_t* rows,
+               const uint32_t* gids, size_t n) {
+    if (!status().ok() || n == 0 || col.type() == TypeId::kNull) return;
+    const uint8_t* nulls = col.NullData();
+    KeyCol x{&col, base};
+    Column compact;
+    std::vector<int64_t> gid_lane;
+    if (rows == nullptr && nulls == nullptr) {
+      gid_lane.assign(gids, gids + n);
+    } else {
+      // Compact the selected non-NULL rows: NULLs form no pair, and a
+      // NULL-free x lane can take the dense arm.
+      std::vector<uint32_t> keep;
+      keep.reserve(n);
+      gid_lane.reserve(n);
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t r = rows == nullptr ? static_cast<uint32_t>(k) : rows[k];
+        if (nulls != nullptr && nulls[base + r] != 0) continue;
+        keep.push_back(r);
+        gid_lane.push_back(gids[k]);
+      }
+      compact.AppendSelectedValues(col, base, keep.data(), keep.size());
+      x = KeyCol{&compact, 0};
+    }
+    const size_t m = gid_lane.size();
+    if (m == 0) return;
+    const Column gid_col =
+        Column::FromData(TypeId::kInt64, std::move(gid_lane), {}, {}, {});
+    GroupAssignment ga = AssignGroupIdsBased({x, KeyCol{&gid_col, 0}}, m);
+    const size_t pairs = ga.num_groups();
+    std::vector<Column> keys(2);
+    keys[0].AppendSelectedValues(*x.col, x.base, ga.rep_row.data(), pairs);
+    keys[1].AppendSelectedValues(gid_col, 0, ga.rep_row.data(), pairs);
+    std::vector<uint64_t> value_hashes(pairs, kGroupHashSeed);
+    HashGroupColumnRange(keys[0], 0, pairs, value_hashes.data());
+    Fold(std::move(keys), std::move(ga.group_hash), value_hashes.data());
+  }
+
+  /// Adds distinct pairs — keys [x, gid], their (masked) pair hashes and
+  /// unmasked x hashes — to the set; each pair new to the set counts once
+  /// for its gid. The first non-empty batch is adopted without a probe.
+  void Fold(std::vector<Column> keys, std::vector<uint64_t> hashes,
+            const uint64_t* value_hashes) {
+    const size_t m = hashes.size();
+    if (m == 0 || !status().ok()) return;
+    const int64_t* gids = keys[1].IntData();
+    if (!adopted_) {
+      if (!Charge(m)) return;
+      for (size_t k = 0; k < m; ++k) ++counts_[static_cast<size_t>(gids[k])];
+      value_hashes_.assign(value_hashes, value_hashes + m);
+      pairs_.Adopt(std::move(keys), std::move(hashes), m);
+      adopted_ = true;
+      return;
+    }
+    const size_t before = pairs_.num_groups();
+    pairs_.Merge(keys, hashes, &pair_ids_);
+    if (!pairs_.guard_status().ok() || !Charge(pairs_.num_groups() - before)) {
+      return;
+    }
+    for (size_t k = 0; k < m; ++k) {
+      if (pair_ids_[k] < before) continue;
+      ++counts_[static_cast<size_t>(gids[k])];
+      value_hashes_.push_back(value_hashes[k]);
+    }
+  }
+
+  /// Charges `pairs` new pairs; false (latched in status_) on a trip.
+  bool Charge(size_t pairs) {
+    if (!governed_ || pairs == 0) return true;
+    const uint64_t bytes = static_cast<uint64_t>(pairs) * kPairBytes;
+    Status st = GuardTryReserve(guard_, bytes, "agg_distinct_pairs");
+    if (!st.ok()) {
+      status_ = std::move(st);
+      return false;
+    }
+    if (guard_ != nullptr) charged_bytes_ += bytes;
+    return true;
+  }
+
+  std::vector<int64_t> counts_;
+  GroupMergeTable pairs_;               // keys [x, gid]
+  bool adopted_ = false;                // pairs_ holds a batch
+  std::vector<uint64_t> value_hashes_;  // per pair: x's hash, unmasked
+  std::vector<uint32_t> pair_ids_;      // scratch: a fold's pair ids
+  const ExecGuard* guard_ = nullptr;
+  bool governed_ = false;               // set_guard called
+  uint64_t charged_bytes_ = 0;          // released on destruction
+  Status status_ = Status::Ok();        // first pair-charge failure
+};
+
 }  // namespace
 
 Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& s) {
+  if (s.distinct && s.name != "count" && s.name != "min" && s.name != "max") {
+    return Status::Unsupported(
+        s.name + "(distinct ...) is not supported; DISTINCT applies to "
+                 "count, min and max only");
+  }
+  if (s.distinct && s.arg == nullptr) {
+    return Status::Unsupported("count(distinct *) is not valid");
+  }
   if (s.name == "count") {
     if (s.distinct) return std::unique_ptr<AggAccumulator>(new DistinctCountAcc());
     return std::unique_ptr<AggAccumulator>(new CountAcc(s.arg == nullptr));
@@ -1021,7 +1197,13 @@ Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& s) {
 }
 
 std::unique_ptr<FlatAggregator> CreateFlatAggregator(const AggSpec& s) {
-  if (s.distinct) return nullptr;  // DISTINCT keeps the per-group set path.
+  if (s.distinct && s.name == "count") {
+    // count(distinct *) has no flat form; CreateAccumulator rejects it.
+    if (s.arg == nullptr) return nullptr;
+    return std::make_unique<FlatDistinctCountAgg>();
+  }
+  // min/max(distinct x) is min/max(x); CreateAccumulator rejects the rest.
+  if (s.distinct && s.name != "min" && s.name != "max") return nullptr;
   if (s.name == "count") {
     return std::make_unique<FlatCountAgg>(s.arg == nullptr);
   }

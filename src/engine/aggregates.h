@@ -18,12 +18,16 @@
 #include "engine/column.h"
 #include "sql/ast.h"
 
+namespace vdb {
+class ExecGuard;
+}  // namespace vdb
+
 namespace vdb::engine {
 
 /// One aggregate call extracted from a query.
 struct AggSpec {
   std::string name;                 // lowercase function name
-  bool distinct = false;            // count(distinct x)
+  bool distinct = false;            // agg(distinct x)
   const sql::Expr* arg = nullptr;   // null for count(*)
   double param = 0.5;               // quantile fraction (2nd argument)
 };
@@ -94,6 +98,16 @@ class FlatAggregator {
   /// the object path.
   virtual void MergePartial(const FlatAggregator& other, const uint32_t* dst,
                             size_t n, size_t num_groups) = 0;
+  /// Governs the aggregator's own row-proportional state under the
+  /// statement's guard (nullptr for an ungoverned statement, which still
+  /// consults fault points). Call before the first AddScatter or
+  /// MergePartial. Aggregators whose state is a few lanes per group have
+  /// nothing to charge and ignore it.
+  virtual void set_guard(const ExecGuard* /*guard*/) {}
+  /// First guard/budget failure latched by AddScatter or MergePartial, kOk
+  /// otherwise. A failed aggregator stops accumulating; callers check after
+  /// each call and discard the state on failure.
+  virtual Status status() const { return Status::Ok(); }
   /// Finalized value of one group — the per-group reference FinalizeColumn
   /// is pinned to (TypedColumnTest in tests/test_flat_agg.cc).
   virtual Value FinalizeGroup(uint32_t gid) const = 0;
@@ -104,8 +118,9 @@ class FlatAggregator {
 };
 
 /// Creates the SoA accumulator for `spec`, or null when the aggregate is not
-/// scatterable — DISTINCT, quantile/median, ndv/HLL, and UDAs keep the
-/// per-group object path (the planner falls back per query).
+/// scatterable — quantile/median, ndv/HLL, and UDAs keep the per-group
+/// object path (the planner falls back per query). count(distinct x) has a
+/// flat form, a set of distinct (x, group) pairs.
 std::unique_ptr<FlatAggregator> CreateFlatAggregator(const AggSpec& spec);
 
 using UdaFactory = std::function<std::unique_ptr<AggAccumulator>()>;
@@ -127,7 +142,10 @@ class AggregateRegistry {
   std::map<std::string, UdaFactory> factories_ GUARDED_BY(mu_);  // vdb-lint: allow(string-keyed-map) UDA registry: looked up once per aggregate at plan time
 };
 
-/// Creates the accumulator for a builtin or registered aggregate.
+/// Creates the accumulator for a builtin or registered aggregate. Only
+/// count honours DISTINCT; min/max(distinct x) equal min/max(x); every other
+/// aggregate with DISTINCT, and count(distinct *), is kUnsupported rather
+/// than silently summing or averaging duplicates.
 Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& spec);
 
 /// Serializes a value into a byte key usable for grouping / distinct sets;

@@ -26,11 +26,6 @@ namespace {
 constexpr uint64_t kNullHash = 0x9AE16A3B2F90404Full;
 constexpr uint64_t kNanHash = 0xC3A5C85C97CB3127ull;
 
-uint64_t MixInto(uint64_t h, uint64_t v) {
-  // Boost-style combine, then a full mix so consecutive columns decorrelate.
-  return HashMix64(h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2)));
-}
-
 uint64_t DoubleHash(double d) {
   // Match ValueGroupKey's folding: integral doubles hash like the integer
   // (so 5.0 groups with 5 across differently-typed key columns), NaNs
@@ -78,12 +73,12 @@ void HashColumnRange(const Column& col, size_t begin, size_t end,
   if (nulls != nullptr) nulls += begin;
   switch (col.type()) {
     case TypeId::kNull:
-      for (size_t k = 0; k < n; ++k) out[k] = MixInto(out[k], kNullHash);
+      for (size_t k = 0; k < n; ++k) out[k] = MixGroupHash(out[k], kNullHash);
       return;
     case TypeId::kBool:
     case TypeId::kInt64: {
       // The dispatch kernel vectorizes exactly this lane: per-row HashMix64
-      // of the raw value (kNullHash at null rows), combined via MixInto.
+      // of the raw value (kNullHash at null rows), combined via MixGroupHash.
       kernels::Ops().hash_mix_i64(out, col.IntData() + begin, nulls, kNullHash,
                                   n);
       return;
@@ -94,7 +89,7 @@ void HashColumnRange(const Column& col, size_t begin, size_t end,
         const uint64_t v = (nulls != nullptr && nulls[k] != 0)
                                ? kNullHash
                                : DoubleHash(data[k]);
-        out[k] = MixInto(out[k], v);
+        out[k] = MixGroupHash(out[k], v);
       }
       return;
     }
@@ -107,7 +102,7 @@ void HashColumnRange(const Column& col, size_t begin, size_t end,
           const std::string& s = col.GetString(begin + k);
           v = HashBytes(s.data(), s.size());
         }
-        out[k] = MixInto(out[k], v);
+        out[k] = MixGroupHash(out[k], v);
       }
       return;
     }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "engine/column.h"
@@ -39,6 +40,17 @@ struct GroupAssignment {
 
   size_t num_groups() const { return rep_row.size(); }
 };
+
+/// The combine step of every multi-column group hash: folds one key's
+/// per-value hash `v` into the running hash `h` (seeded with kGroupHashSeed).
+/// Exposed so a client that stores a key prefix's hash can extend it by one
+/// more key without rehashing the prefix: MixGroupHash(prefix, HashMix64(i))
+/// is the hash of (prefix..., i) for an Int64 key i, exactly as
+/// HashGroupColumn computes it.
+inline uint64_t MixGroupHash(uint64_t h, uint64_t v) {
+  // Boost-style combine, then a full mix so consecutive columns decorrelate.
+  return HashMix64(h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2)));
+}
 
 /// Mixes column `col`'s per-row group hash into hashes[0..num_rows). Called
 /// once per group column; the loops are type-specialized over raw storage.

@@ -113,7 +113,7 @@ struct KernelOps {
   void (*rand_f64_seq)(uint64_t seed, uint64_t row0, uint64_t site, size_t n,
                        double* out);
 
-  // h[k] = MixInto(h[k], nulls[k] ? kNullHash : HashMix64(data[k])): the
+  // h[k] = MixGroupHash(h[k], nulls[k] ? kNullHash : HashMix64(data[k])): the
   // Int64 lane of multi-column group/join key hashing (engine/group_ids.cc
   // owns the constants and passes null_hash in). `nulls` may be null.
   void (*hash_mix_i64)(uint64_t* h, const int64_t* data, const uint8_t* nulls,

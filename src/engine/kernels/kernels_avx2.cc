@@ -384,7 +384,7 @@ void HashMixI64(uint64_t* h, const int64_t* data, const uint8_t* nulls,
       const __m256i is_null = _mm256_cmpgt_epi64(nz, zero);
       v = _mm256_blendv_epi8(v, null_hash_v, is_null);
     }
-    // MixInto(h, v) = HashMix64(h ^ (v + K + (h << 6) + (h >> 2)))
+    // MixGroupHash(h, v) = HashMix64(h ^ (v + K + (h << 6) + (h >> 2)))
     const __m256i hv = Load4U64(h + i);
     const __m256i mixed = _mm256_xor_si256(
         hv, _mm256_add_epi64(

@@ -133,7 +133,7 @@ inline void RandF64Seq(uint64_t seed, uint64_t row0, uint64_t site, size_t n,
 }
 
 /// The Int64 lane of group/join key hashing: per-row value hash, then the
-/// boost-style combine + full mix engine/group_ids.cc documents (MixInto).
+/// boost-style combine + full mix engine/group_ids.h defines (MixGroupHash).
 inline uint64_t HashMixInto(uint64_t h, uint64_t v) {
   return HashMix64(h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2)));
 }

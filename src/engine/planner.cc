@@ -73,9 +73,10 @@ size_t BitmapSelect(const kernels::Bitmap& bits,
 /// group is a first occurrence — so a one-morsel input merges nothing.
 /// Later partials merge in morsel order through one GroupMergeTable:
 /// fold(part, gids, num_groups) folds partial group k into global gids[k]
-/// (gids at or past the previous group count are first occurrences), and
-/// the folded partial is released. Leaves the key columns in *keys (left
-/// alone when there are no morsels) and returns the group count.
+/// (gids at or past the previous group count are first occurrences) and
+/// returns the aggregates' status; the folded partial is then released.
+/// Leaves the key columns in *keys (left alone when there are no morsels)
+/// and returns the group count.
 template <typename Part, typename Adopt, typename Fold>
 Result<size_t> MergeMorselPartials(std::vector<Part>* parts,
                                    const ExecGuard* guard,
@@ -97,7 +98,7 @@ Result<size_t> MergeMorselPartials(std::vector<Part>* parts,
     // A budget trip during merge-table growth latches instead of throwing
     // mid-probe; discard the partially merged state here.
     VDB_RETURN_IF_ERROR(merge.guard_status());
-    fold(part, gids, merge.num_groups());
+    VDB_RETURN_IF_ERROR(fold(part, gids, merge.num_groups()));
     part = Part{};
   }
   if (!parts->empty()) *keys = merge.TakeKeys();
@@ -943,8 +944,8 @@ class SelectExecutor {
         }
       }
     } else if (!flat) {
-      // Reference partial path (mergeable but not scatterable — DISTINCT,
-      // quantile, HLL, mergeable UDAs, or the flat sink disabled): each
+      // Reference partial path (mergeable but not scatterable — quantile,
+      // HLL, mergeable UDAs, or the flat sink disabled): each
       // morsel evaluates the grouping and argument expressions over its own
       // slice of the view, aggregates into morsel-local partial states, and
       // the partials are merged strictly in morsel order. The decomposition
@@ -1022,6 +1023,7 @@ class SelectExecutor {
                 groups[gids[k]][i]->Merge(*part.groups[k][i]);
               }
             }
+            return Status::Ok();
           });
       if (!merged.ok()) return merged.status();
       // An aggregate without GROUP BY keys emits one row even over an empty
@@ -1139,6 +1141,7 @@ class SelectExecutor {
         res.parts.reserve(specs.size());
         for (size_t i = 0; i < specs.size(); ++i) {
           auto f = CreateFlatAggregator(specs[i]);
+          f->set_guard(guard_);
           f->ResizeGroups(ngroups);
           const Column* col = specs[i].arg != nullptr ? acols[i].col : nullptr;
           const size_t base = specs[i].arg != nullptr ? acols[i].base : 0;
@@ -1148,6 +1151,7 @@ class SelectExecutor {
           } else {
             f->AddScatter(col, base, ga.gid_of_row.data(), ln);
           }
+          VDB_RETURN_IF_ERROR(f->status());
           res.parts.push_back(std::move(f));
         }
         return Status::Ok();
@@ -1167,7 +1171,9 @@ class SelectExecutor {
             for (size_t i = 0; i < specs.size(); ++i) {
               flats[i]->MergePartial(*part.parts[i], gids.data(), gids.size(),
                                      num_groups);
+              VDB_RETURN_IF_ERROR(flats[i]->status());
             }
+            return Status::Ok();
           });
       if (!merged.ok()) return merged.status();
       // An aggregate without GROUP BY keys emits one row even over an empty

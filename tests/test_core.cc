@@ -58,6 +58,22 @@ TEST(ClassifierTest, DetectsCountDistinct) {
   EXPECT_EQ(qc.count_distinct_column, "user_id");
 }
 
+TEST(ClassifierTest, RejectsDistinctOutsideCountMinMax) {
+  // Only count(distinct) has an estimator; min/max ignore DISTINCT. A
+  // distinct sum or mean must pass through (and fail in the engine), not
+  // be approximated as the plain sum.
+  for (const char* sql : {"select sum(distinct g10) from t",
+                          "select g, avg(distinct x) from t group by g",
+                          "select count(*), stddev(distinct x) from t"}) {
+    auto qc = Classify(sql);
+    EXPECT_FALSE(qc.supported) << sql;
+    EXPECT_NE(qc.reason.find("distinct"), std::string::npos) << qc.reason;
+  }
+  auto qc = Classify("select count(*), max(distinct x) from t");
+  EXPECT_TRUE(qc.supported) << qc.reason;
+  EXPECT_TRUE(qc.has_extreme);
+}
+
 TEST(ClassifierTest, DetectsNestedAggregate) {
   auto qc = Classify(
       "select avg(s) from (select city, sum(price) as s from orders "
@@ -226,6 +242,19 @@ TEST_F(VerdictE2E, PassthroughOnUnsupported) {
   EXPECT_FALSE(info.skip_reason.empty());
   EXPECT_DOUBLE_EQ(rs.value().GetDouble(0, 0),
                    Exact("select min(value) as m from big"));
+}
+
+TEST_F(VerdictE2E, DistinctSumPassesThroughAndFailsLoudly) {
+  // The distinct sum of g10 over 0..9 is 45; it used to come back as the
+  // approximate plain sum (~900K) with an error bar.
+  VerdictContext::ExecInfo info;
+  auto rs = ctx_->Execute("select sum(distinct g10) as s from big", &info);
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kUnsupported)
+      << rs.status().ToString();
+  EXPECT_FALSE(info.approximated);
+  EXPECT_NE(info.skip_reason.find("distinct"), std::string::npos)
+      << info.skip_reason;
 }
 
 TEST_F(VerdictE2E, DecomposesExtremePlusMeanLike) {

@@ -6,6 +6,7 @@
 #include "common/hash.h"
 #include "engine/database.h"
 #include "engine/hll.h"
+#include "engine/planner.h"
 
 namespace vdb::engine {
 namespace {
@@ -145,6 +146,48 @@ TEST_F(EngineTest, CountDistinctAndVariance) {
   EXPECT_EQ(rs.Get(0, 0).AsInt(), 3);
   EXPECT_NEAR(rs.GetDouble(0, 1), 466.666, 0.01);
   EXPECT_NEAR(rs.GetDouble(0, 2), 2.160, 0.01);
+}
+
+TEST_F(EngineTest, OnlyCountHonoursDistinct) {
+  // x = 1, 1, 2, 2.0 in groups g = 0, 0, 1, 1: count(distinct x) is 2 (2
+  // and 2.0 are one value), min/max ignore DISTINCT, and every other
+  // aggregate with DISTINCT is refused instead of silently summing
+  // duplicates (sum(distinct x) used to return 6, and 2 and 4 per group).
+  auto t = std::make_shared<Table>();
+  t->AddColumn("g", TypeId::kInt64);
+  t->AddColumn("x", TypeId::kInt64);
+  t->AppendRow({Value::Int(0), Value::Int(1)});
+  t->AppendRow({Value::Int(0), Value::Int(1)});
+  t->AppendRow({Value::Int(1), Value::Int(2)});
+  t->AppendRow({Value::Int(1), Value::Double(2.0)});
+  ASSERT_TRUE(db_.RegisterTable("d", t).ok());
+  for (bool flat : {true, false}) {
+    SetFlatAggSinkForTest(flat);
+    auto rs = Run("select count(distinct x) as c, min(distinct x) as mn, "
+                  "max(distinct x) as mx from d");
+    EXPECT_EQ(rs.Get(0, 0).AsInt(), 2) << "flat=" << flat;
+    EXPECT_EQ(rs.Get(0, 1).AsDouble(), 1.0) << "flat=" << flat;
+    EXPECT_EQ(rs.Get(0, 2).AsDouble(), 2.0) << "flat=" << flat;
+    auto grouped = Run("select g, count(distinct x) as c from d group by g");
+    ASSERT_EQ(grouped.NumRows(), 2u);
+    EXPECT_EQ(grouped.Get(0, 1).AsInt(), 1) << "flat=" << flat;
+    EXPECT_EQ(grouped.Get(1, 1).AsInt(), 1) << "flat=" << flat;
+    for (const char* sql :
+         {"select sum(distinct x) as s from d",
+          "select g, sum(distinct x) as s from d group by g",
+          "select avg(distinct x) as a from d",
+          "select g, avg(distinct x) as a, count(*) as c from d group by g",
+          "select stddev(distinct x) as s from d",
+          "select count(*) as c from d having sum(distinct x) > 0",
+          "select count(distinct *) as c from d"}) {
+      auto bad = db_.Execute(sql);
+      ASSERT_FALSE(bad.ok()) << sql << " flat=" << flat;
+      EXPECT_EQ(bad.status().code(), StatusCode::kUnsupported) << sql;
+      EXPECT_NE(bad.status().message().find("distinct"), std::string::npos)
+          << bad.status().ToString();
+    }
+  }
+  SetFlatAggSinkForTest(true);
 }
 
 TEST_F(EngineTest, QuantileAndMedian) {

@@ -166,6 +166,20 @@ const char* const kGroupQueries[] = {
     // only gi/v/sid of the six-column `select *` expansion.
     "select gi, sid, sum(v) as s, count(*) as c from "
     "(select *, 1 + floor(rand() * 7) as sid from t) as d group by gi, sid",
+    // Wide-range twins of the small-domain keys above: gi * 1000003 + 7
+    // spans ~15M values, past the dense arm's slot bound, so these group
+    // through the hash arm and keep the collision tests below on its
+    // verification path (IntRowsEqual; NumRowsEqual for the NULL-free
+    // Double key (gi % 3) * 0.5, which is coarser than gi).
+    "select gi * 1000003 + 7 as gk, count(*) as c, sum(v) as s from t "
+    "group by gi * 1000003 + 7",
+    "select gi * 1000003 + 7 as gk, min(w) as mn, max(w) as mx, "
+    "avg(w) as aw from t group by gi * 1000003 + 7",
+    "select gi * 1000003 + 7 as gk, sid * 1000003 + 7 as sk, sum(v) as s, "
+    "count(*) as c from (select *, 1 + floor(rand() * 7) as sid from t) as d "
+    "group by gi * 1000003 + 7, sid * 1000003 + 7",
+    "select gi * 1000003 + 7 as gk, (gi % 3) * 0.5 as gh, count(*) as c, "
+    "sum(v) as s from t group by gi * 1000003 + 7, (gi % 3) * 0.5",
 };
 
 // The reference for every differential test: object-accumulator sink,
@@ -813,6 +827,102 @@ TEST(TypedColumnTest, FinalizeColumnEqualsFinalizeGroupAppendLoop) {
   }
 }
 
+TEST(TypedColumnTest, FlatDistinctCountEqualsPerGroupValueSets) {
+  // FlatDistinctCountAgg against per-group Value sets under GroupValuesEqual:
+  // partials fed several batches of differing argument types (Int64 keys
+  // past 2^53 then Doubles, strings after numbers — the pair table's lossy
+  // appends), through both scatter forms, one merged into the other on a
+  // shuffled mix of existing and fresh gids, under honest and fully
+  // colliding hashes.
+  Rng rng(kSeed + 6);
+  sql::Expr arg;
+  AggSpec spec;
+  spec.name = "count";
+  spec.distinct = true;
+  spec.arg = &arg;
+  const int64_t big = int64_t{1} << 53;
+  auto insert = [](std::vector<Value>* set, const Value& v) {
+    for (const Value& x : *set) {
+      if (GroupValuesEqual(x, v)) return;
+    }
+    set->push_back(v);
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    SetGroupHashMaskForTest(trial % 3 == 0 ? uint64_t{0} : ~uint64_t{0});
+    const size_t groups = 1 + rng.NextBounded(8);
+    std::vector<std::vector<Value>> sets[2];
+    std::unique_ptr<FlatAggregator> parts[2];
+    for (int p = 0; p < 2; ++p) {
+      sets[p].resize(groups);
+      parts[p] = CreateFlatAggregator(spec);
+      ASSERT_NE(parts[p], nullptr);
+      parts[p]->ResizeGroups(groups);
+      const int batches = static_cast<int>(rng.NextBounded(4));
+      for (int b = 0; b < batches; ++b) {
+        const size_t n = rng.NextBounded(40);
+        Column col;
+        const uint64_t kind = rng.NextBounded(7);
+        if (kind < 5) {
+          col = FuzzColumn(&rng, kAllTypes[kind], n, rng.NextDouble() * 0.3);
+        } else {
+          for (size_t r = 0; r < n; ++r) {
+            const int64_t off = rng.NextInRange(0, 3);
+            col.Append(kind == 5 ? Value::Int(big + off)
+                                 : Value::Double(static_cast<double>(big + off)));
+          }
+        }
+        std::vector<uint32_t> gids, rows;
+        for (uint32_t r = 0; r < n; ++r) {
+          if (rng.NextBernoulli(0.7)) rows.push_back(r);
+        }
+        const bool selected = rng.NextBernoulli(0.5);
+        const size_t m = selected ? rows.size() : n;
+        for (size_t k = 0; k < m; ++k) {
+          gids.push_back(static_cast<uint32_t>(rng.NextBounded(groups)));
+          const Value v = col.Get(selected ? rows[k] : k);
+          if (!v.is_null()) insert(&sets[p][gids[k]], v);
+        }
+        if (selected) {
+          parts[p]->AddScatterSelected(&col, 0, rows.data(), gids.data(), m);
+        } else {
+          parts[p]->AddScatter(&col, 0, gids.data(), m);
+        }
+      }
+    }
+    std::vector<uint32_t> dst(groups);
+    std::vector<uint32_t> pool;
+    for (uint32_t g = 0; g < groups; ++g) pool.push_back(g);
+    size_t fresh = 0;
+    for (size_t k = 0; k < groups; ++k) {
+      if (!pool.empty() && rng.NextBernoulli(0.6)) {
+        const size_t i = rng.NextBounded(pool.size());
+        dst[k] = pool[i];
+        pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        dst[k] = static_cast<uint32_t>(groups + fresh++);
+      }
+    }
+    parts[0]->MergePartial(*parts[1], dst.data(), dst.size(), groups + fresh);
+    std::vector<std::vector<Value>> want = sets[0];
+    want.resize(groups + fresh);
+    for (size_t k = 0; k < groups; ++k) {
+      for (const Value& v : sets[1][k]) insert(&want[dst[k]], v);
+    }
+    Column want_col;
+    for (uint32_t g = 0; g < groups + fresh; ++g) {
+      ASSERT_EQ(parts[0]->FinalizeGroup(g).AsInt(),
+                static_cast<int64_t>(want[g].size()))
+          << "trial " << trial << " group " << g;
+      want_col.Append(Value::Int(static_cast<int64_t>(want[g].size())));
+    }
+    ExpectSameColumn(want_col, parts[0]->FinalizeColumn(),
+                     "trial " + std::to_string(trial));
+    ASSERT_TRUE(parts[0]->status().ok());
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  SetGroupHashMaskForTest(~0ull);
+}
+
 /// Merges `partials` (key columns of one row per group) through a
 /// GroupMergeTable and checks gids and key columns against the Value
 /// definition: GroupValuesEqual on the original keys, first occurrence
@@ -907,6 +1017,324 @@ TEST_F(FlatAggTest, MergeTableKeepsOriginalKeysAcrossLossyTypeChanges) {
     CheckMergeAgainstValues(big_ints, "big ints" + m);
     CheckMergeAgainstValues(strings_after_ints, "strings after ints" + m);
     CheckMergeAgainstValues(null_then_types, "null then types" + m);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dense group-id arm vs. the hash arm
+// ---------------------------------------------------------------------------
+//
+// Small-domain NULL-free integer keys (Int64, Bool, integral doubles) take
+// the direct-indexed arm of group-id assignment; the same keys pushed
+// through a bijective wide-range remap (k * 1000003 + 7) are past its slot
+// bound and take the hash arm. Both must yield the same groups in the same
+// order with the same aggregate bits. The queries output min(key) rather
+// than the key itself, so the two spellings share a result shape.
+
+/// k (-3..12), kb (Bool), kd (integral doubles incl. -0.0), c (one value),
+/// kn (Int64 with NULLs and zeros), kx (doubles with NaN and halves),
+/// v (full-mantissa doubles), w (ints with NULLs).
+TablePtr BuildDenseTable(size_t rows) {
+  Rng rng(kSeed + 4);
+  auto t = std::make_shared<Table>();
+  t->AddColumn("k", TypeId::kInt64);
+  t->AddColumn("kb", TypeId::kBool);
+  t->AddColumn("kd", TypeId::kDouble);
+  t->AddColumn("c", TypeId::kInt64);
+  t->AddColumn("kn", TypeId::kInt64);
+  t->AddColumn("kx", TypeId::kDouble);
+  t->AddColumn("v", TypeId::kDouble);
+  t->AddColumn("w", TypeId::kInt64);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t kd = rng.NextInRange(-2, 3);
+    Value kx;
+    switch (rng.NextBounded(4)) {
+      case 0: kx = Value::Double(nan); break;
+      case 1: kx = Value::Double(0.5 * static_cast<double>(rng.NextInRange(-2, 2))); break;
+      default: kx = Value::Double(static_cast<double>(rng.NextInRange(-1, 1)));
+    }
+    t->AppendRow({Value::Int(rng.NextInRange(-3, 12)),
+                  Value::Bool(rng.NextBernoulli(0.3)),
+                  Value::Double(kd == 0 && rng.NextBernoulli(0.5)
+                                    ? -0.0
+                                    : static_cast<double>(kd)),
+                  Value::Int(42),
+                  rng.NextBernoulli(0.2) ? Value::Null()
+                                         : Value::Int(rng.NextInRange(-1, 2)),
+                  kx,
+                  rng.NextBernoulli(0.1)
+                      ? Value::Null()
+                      : Value::Double(rng.NextDouble() * 1e9 - 5e8),
+                  rng.NextBernoulli(0.2)
+                      ? Value::Null()
+                      : Value::Int(rng.NextInRange(-1000, 1000))});
+  }
+  return t;
+}
+
+/// One key shape: two spellings of the same key tuple (a bijection of each
+/// other), the first dense-eligible where the data allows, the second wide.
+struct KeyTwin {
+  std::string from;  // FROM clause
+  std::string keys, wide_keys;
+  std::string mins;  // min() of each underlying key column
+};
+
+std::vector<KeyTwin> KeyTwins() {
+  const std::string t = "t";
+  const std::string sid =
+      "(select *, floor(rand() * 5) as sid from t) as d";
+  return {
+      {t, "k", "k * 1000003 + 7", "min(k) as mk"},
+      // Far from zero: the slot offset is an unsigned difference.
+      {t, "k - 9000000000000000000", "k * 1000003 + 7", "min(k) as mk"},
+      {t, "kb", "case when kb then 1000010 else 7 end", "min(kb) as mb"},
+      {t, "kd", "kd * 1000003 + 7", "min(kd) as md"},
+      {t, "k, kd", "k * 1000003 + 7, kd * 1000003 + 7",
+       "min(k) as mk, min(kd) as md"},
+      {t, "c, k", "c, k * 1000003 + 7", "min(c) as mc, min(k) as mk"},
+      {t, "kb, k", "kb, k * 1000003 + 7", "min(kb) as mb, min(k) as mk"},
+      // The AQP rewriter's subsample id, floor(rand() * b).
+      {sid, "k, sid", "k * 1000003 + 7, sid * 1000003 + 7",
+       "min(k) as mk, min(sid) as ms"},
+      {sid, "sid", "sid * 1000003 + 7", "min(sid) as ms"},
+      // Hash arm on both sides: a null mask, NaN and non-integral doubles.
+      {t, "kn", "kn * 1000003 + 7", "min(kn) as mn, count(kn) as cn"},
+      {t, "kx", "kx * 1000003 + 7", "min(kx) as mx, count(kx) as cx"},
+      {t, "k, kx", "k * 1000003 + 7, kx * 1000003 + 7",
+       "min(k) as mk, min(kx) as mx"},
+  };
+}
+
+TEST_F(FlatAggTest, DenseArmMatchesHashArmOnWideRangeTwins) {
+  const size_t kRows = 3001;
+  const TablePtr table = BuildDenseTable(kRows);
+  SetMorselRowsForTest(0);
+  const size_t default_morsel = MorselRows();
+  for (const KeyTwin& twin : KeyTwins()) {
+    for (const char* where : {"", " where w > 0"}) {
+      auto sql = [&](const std::string& keys) {
+        return "select " + twin.mins +
+               ", count(*) as c, sum(v) as s, avg(w) as a, max(v) as mv "
+               "from " + twin.from + where + " group by " + keys;
+      };
+      for (size_t morsel : {size_t{7}, default_morsel}) {
+        SetMorselRowsForTest(morsel);
+        for (int threads : {1, 2, 8}) {
+          auto run = [&](const std::string& q) {
+            Database db(kSeed);
+            db.set_num_threads(threads);
+            EXPECT_TRUE(db.RegisterTable("t", table).ok());
+            auto rs = db.Execute(q);
+            EXPECT_TRUE(rs.ok()) << q << " -> " << rs.status().ToString();
+            return std::move(rs).ValueOrDie();
+          };
+          const ResultSet dense = run(sql(twin.keys));
+          const ResultSet wide = run(sql(twin.wide_keys));
+          ASSERT_GT(dense.NumRows(), 0u) << sql(twin.keys);
+          ExpectBitIdentical(wide, dense,
+                             sql(twin.keys) + " morsel=" +
+                                 std::to_string(morsel) + " @" +
+                                 std::to_string(threads));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FlatAggTest, DenseArmGroupIdsEqualHashArmGroupIds) {
+  // The assignment itself: gid_of_row, rep_row and group_hash of a dense
+  // key set equal those of the same rows' keys through the hash arm, under
+  // forced collisions too. The wide twin keeps gids and representatives
+  // (a bijection of the keys) but hashes differently, so its hashes are
+  // checked against HashGroupKeys at the representatives instead.
+  Rng rng(kSeed + 5);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.NextBounded(300);
+    std::vector<int64_t> a(n), wa(n);
+    std::vector<double> b(n), wb(n);
+    const int64_t lo = rng.NextInRange(-50, 50);
+    const int64_t span = 1 + rng.NextInRange(0, 20);
+    for (size_t r = 0; r < n; ++r) {
+      a[r] = lo + rng.NextInRange(0, span - 1);
+      const int64_t d = rng.NextInRange(-2, 2);
+      b[r] = d == 0 && rng.NextBernoulli(0.5) ? -0.0 : static_cast<double>(d);
+      wa[r] = a[r] * 1000003 + 7;
+      wb[r] = b[r] * 1000003 + 7;
+    }
+    const Column ca = Column::FromData(TypeId::kInt64, a, {}, {}, {});
+    const Column cb = Column::FromData(TypeId::kDouble, {}, b, {}, {});
+    const Column cwa = Column::FromData(TypeId::kInt64, wa, {}, {}, {});
+    const Column cwb = Column::FromData(TypeId::kDouble, {}, wb, {}, {});
+    // A selection over the rows for the bitmap form.
+    std::vector<uint32_t> sel;
+    for (uint32_t r = 0; r < n; ++r) {
+      if (rng.NextBernoulli(0.6)) sel.push_back(r);
+    }
+    for (uint64_t mask : {~uint64_t{0}, uint64_t{0x3}}) {
+      SetGroupHashMaskForTest(mask);
+      const GroupAssignment dense = AssignGroupIds({&ca, &cb}, n);
+      const GroupAssignment wide = AssignGroupIds({&cwa, &cwb}, n);
+      ASSERT_EQ(dense.gid_of_row, wide.gid_of_row) << "trial " << trial;
+      ASSERT_EQ(dense.rep_row, wide.rep_row) << "trial " << trial;
+      GroupAssignment dsel, wsel;
+      AssignGroupIdsSelected({&ca, &cb}, n, sel.data(), sel.size(), &dsel);
+      AssignGroupIdsSelected({&cwa, &cwb}, n, sel.data(), sel.size(), &wsel);
+      ASSERT_EQ(dsel.gid_of_row, wsel.gid_of_row) << "trial " << trial;
+      ASSERT_EQ(dsel.rep_row, wsel.rep_row) << "trial " << trial;
+      // group_hash: the hash arm's per-row formula at each representative.
+      std::vector<uint64_t> row_hashes;
+      HashGroupKeys({&ca, &cb}, n, &row_hashes);
+      for (const GroupAssignment* ga : {&dense, static_cast<const GroupAssignment*>(&dsel)}) {
+        ASSERT_EQ(ga->group_hash.size(), ga->rep_row.size());
+        for (size_t g = 0; g < ga->rep_row.size(); ++g) {
+          ASSERT_EQ(ga->group_hash[g], row_hashes[ga->rep_row[g]])
+              << "trial " << trial << " group " << g;
+        }
+      }
+    }
+    SetGroupHashMaskForTest(~0ull);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// COUNT(DISTINCT) on the flat sink vs. the object sink
+// ---------------------------------------------------------------------------
+
+const char* const kDistinctQueries[] = {
+    "select count(distinct w) as c from t",
+    "select gi, count(distinct w) as c from t group by gi",
+    // NaN, -0.0 == 0.0, NULLs.
+    "select gi, count(distinct gd) as c from t group by gi",
+    "select gs, count(distinct gs) as c1, count(distinct gi) as c2 "
+    "from t group by gs",
+    // The AQP NDV probe over a small domain (dense pair set).
+    "select count(distinct gi) as c from t",
+    // 5 then 5.0: Int64 keys in the first 7 rows, integral doubles after.
+    "select count(distinct case when id < 7 then gi "
+    "else gi * 1.0 end) as c from t",
+    "select gi, count(distinct case when id < 7 then gi "
+    "else gi * 1.0 end) as c from t group by gi",
+    // Int64 past 2^53 in the first morsel, Double in the next ones: the
+    // promoted pair keys collapse, the originals must not.
+    "select count(distinct case when id < 7 then 9007199254740993 + id % 3 "
+    "else 9007199254740992.0 + id % 3 end) as c from t",
+    "select gi, count(distinct gs) as cd, sum(v) as s, avg(w) as a, "
+    "count(*) as n from t group by gi",
+    "select gi, count(*) as c from t group by gi "
+    "having count(distinct gd) > 3",
+    "select gi, count(distinct w) as c from t where w > 0 group by gi",
+    "select count(distinct v) as c, count(distinct z) as cz from t",
+    "select count(distinct w) as c from t where v > 1e18",
+    "select gi, count(distinct w) as c from t where v > 1e18 group by gi",
+};
+
+TablePtr BuildDistinctTable(size_t rows) {
+  // BuildAggTable plus a row id for morsel-dependent argument types.
+  TablePtr base = BuildAggTable(rows);
+  auto t = std::make_shared<Table>();
+  std::vector<int64_t> ids(rows);
+  for (size_t r = 0; r < rows; ++r) ids[r] = static_cast<int64_t>(r);
+  t->AddColumn("id", Column::FromData(TypeId::kInt64, std::move(ids), {}, {},
+                                      {}));
+  for (size_t c = 0; c < base->num_columns(); ++c) {
+    t->AddColumn(base->column_name(c), base->column(c));
+  }
+  return t;
+}
+
+TEST_F(FlatAggTest, FlatCountDistinctMatchesObjectSink) {
+  const size_t kRows = 2003;
+  const TablePtr table = BuildDistinctTable(kRows);
+  auto run = [&](const std::string& sql, int threads) {
+    Database db(kSeed);
+    db.set_num_threads(threads);
+    EXPECT_TRUE(db.RegisterTable("t", table).ok());
+    auto rs = db.Execute(sql);
+    EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
+    return std::move(rs).ValueOrDie();
+  };
+  for (size_t morsel : {size_t{7}, size_t{257}}) {
+    SetMorselRowsForTest(morsel);
+    for (const char* sql : kDistinctQueries) {
+      SetFlatAggSinkForTest(false);
+      const ResultSet ref = run(sql, 1);
+      SetFlatAggSinkForTest(true);
+      for (uint64_t mask : {~uint64_t{0}, uint64_t{0x7}, uint64_t{0}}) {
+        SetGroupHashMaskForTest(mask);
+        for (int threads : {1, 2, 8}) {
+          ExpectBitIdentical(ref, run(sql, threads),
+                             std::string(sql) + " morsel=" +
+                                 std::to_string(morsel) + " mask=" +
+                                 std::to_string(mask) + " @" +
+                                 std::to_string(threads));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+      SetGroupHashMaskForTest(~0ull);
+    }
+  }
+}
+
+TEST_F(FlatAggTest, FlatCountDistinctKnownAnswers) {
+  // Definitions the differential test cannot see (both sinks could agree
+  // on a wrong answer): 5 == 5.0, NaN == NaN, -0.0 == 0.0, NULLs ignored,
+  // distinct Int64 keys above 2^53 stay distinct, empty input counts 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = int64_t{1} << 53;
+  auto t = std::make_shared<Table>();
+  t->AddColumn("id", TypeId::kInt64);
+  t->AddColumn("g", TypeId::kInt64);
+  t->AddColumn("d", TypeId::kDouble);
+  t->AddColumn("i", TypeId::kInt64);
+  const std::vector<Value> ds = {Value::Double(nan),  Value::Double(-0.0),
+                                 Value::Double(0.0),  Value::Double(5.0),
+                                 Value::Double(nan),  Value::Null(),
+                                 Value::Double(2.5)};
+  const std::vector<Value> is = {Value::Int(5),       Value::Int(big + 1),
+                                 Value::Int(big),     Value::Null(),
+                                 Value::Int(big + 1), Value::Int(5),
+                                 Value::Int(-5)};
+  for (size_t r = 0; r < ds.size(); ++r) {
+    t->AppendRow({Value::Int(static_cast<int64_t>(r)),
+                  Value::Int(static_cast<int64_t>(r % 2)), ds[r], is[r]});
+  }
+  for (size_t morsel : {size_t{1}, size_t{3}, size_t{0}}) {
+    SetMorselRowsForTest(morsel);
+    for (int threads : {1, 8}) {
+      Database db(kSeed);
+      db.set_num_threads(threads);
+      ASSERT_TRUE(db.RegisterTable("k", t).ok());
+      const std::string at =
+          " morsel=" + std::to_string(morsel) + " @" + std::to_string(threads);
+      // d: {NaN, 0, 5, 2.5}; i: {5, 2^53 + 1, 2^53, -5}.
+      auto rs = db.Execute(
+          "select count(distinct d) as cd, count(distinct i) as ci, "
+          "count(distinct case when id % 2 = 1 then d else i end) as cm "
+          "from k");
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      EXPECT_EQ(rs.value().Get(0, 0).AsInt(), 4) << at;
+      EXPECT_EQ(rs.value().Get(0, 1).AsInt(), 4) << at;
+      if (morsel == 1) {
+        // One-row morsels keep each row's own type: odd rows give d
+        // (-0.0, 5.0, NULL), even rows i (5, 2^53, 2^53 + 1, -5), and 5.0
+        // is 5: {0, 5, 2^53, 2^53 + 1, -5}.
+        EXPECT_EQ(rs.value().Get(0, 2).AsInt(), 5) << at;
+      }
+      // g = 0: d {NaN, 0.0, NaN, 2.5} -> 3; g = 1: d {-0.0, 5.0, NULL} -> 2.
+      auto grouped = db.Execute(
+          "select g, count(distinct d) as c from k group by g");
+      ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+      ASSERT_EQ(grouped.value().NumRows(), 2u) << at;
+      EXPECT_EQ(grouped.value().Get(0, 1).AsInt(), 3) << at;
+      EXPECT_EQ(grouped.value().Get(1, 1).AsInt(), 2) << at;
+      auto empty = db.Execute("select count(distinct d) as c from k where id < 0");
+      ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+      ASSERT_EQ(empty.value().NumRows(), 1u) << at;
+      EXPECT_EQ(empty.value().Get(0, 0).AsInt(), 0) << at;
+    }
   }
 }
 

@@ -88,6 +88,9 @@ const std::vector<std::string>& WorkloadQueries() {
       "group by city) t order by city",
       "select city, sid, count(*) as c from (select *, 1 + floor(rand() * 8) "
       "as sid from orders) t group by city, sid order by city, sid",
+      // The flat COUNT(DISTINCT) pair sets (site agg_distinct_pairs).
+      "select city, count(distinct id % 97) as d from orders group by city "
+      "order by city",
   };
   return kQueries;
 }
@@ -351,7 +354,7 @@ TEST_F(GovernorTest, FaultSweepEveryReachableSiteFailsClean) {
   ASSERT_FALSE(sites.empty());
   // The stages the tentpole governs must all be represented.
   for (const char* must : {"agg_partial", "join_build", "join_probe",
-                           "gather", "cross_join"}) {
+                           "gather", "cross_join", "agg_distinct_pairs"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), must), sites.end())
         << "workload never reached governed site " << must;
   }
@@ -383,11 +386,12 @@ TEST_F(GovernorTest, FaultSweepEveryReachableSiteFailsClean) {
 }
 
 TEST_F(GovernorTest, GroupGrowFaultNeverYieldsWrongGroups) {
-  // agg_group_grow is consulted only by the merge table, which has a failure
-  // path. Unguarded scratch tables (per-morsel group ids, DISTINCT sets)
-  // must not latch the fault: they cannot report it, so they would drop
-  // groups and still return OK. An armed site must either fail the query
-  // with its name or leave the answer exact.
+  // agg_group_grow is consulted only by merge tables (the group merge and
+  // the flat COUNT(DISTINCT) pair sets), which have a failure path.
+  // Unguarded scratch tables (per-morsel group ids, the object sink's
+  // DISTINCT sets) must not latch the fault: they cannot report it, so they
+  // would drop groups and still return OK. An armed site must either fail
+  // the query with its name or leave the answer exact.
   const std::vector<std::string> queries = {
       // One morsel: only the morsel-local group table runs.
       "select count(*) as groups, sum(c) as n from (select k, count(*) as c "
@@ -417,6 +421,54 @@ TEST_F(GovernorTest, GroupGrowFaultNeverYieldsWrongGroups) {
     }
     ExpectBitIdentical(clean[i], got.value(), queries[i]);
   }
+}
+
+TEST_F(GovernorTest, DistinctPairFaultNeverYieldsWrongCounts) {
+  // The flat COUNT(DISTINCT) pair sets are charged at agg_distinct_pairs:
+  // per morsel as each partial's pairs are built, then as the merge adds
+  // pairs. Failing the Nth charge must fail the query with that site's
+  // name or leave the answer exact — never drop pairs and return OK.
+  const std::vector<std::string> queries = {
+      "select count(distinct k) as dk from orders where id < 400",
+      "select count(distinct k) as dk, count(distinct id % 97) as dm "
+      "from orders",
+      "select city, count(distinct id % 97) as d, sum(price) as s "
+      "from orders group by city",
+  };
+  auto db = MakeDb(4001, 2);
+  std::vector<ResultSet> clean;
+  for (const std::string& sql : queries) {
+    auto got = db->Execute(sql);
+    ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
+    clean.push_back(std::move(got).ValueOrDie());
+  }
+  int failed = 0;
+  for (int nth : {1, 2, 5, 12}) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      DisarmAllFaultPoints();
+      ArmFaultPointNth("agg_distinct_pairs", nth,
+                       StatusCode::kResourceExhausted);
+      auto got = db->Execute(queries[i]);
+      if (!got.ok()) {
+        ++failed;
+        EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+        EXPECT_NE(got.status().message().find("agg_distinct_pairs"),
+                  std::string::npos)
+            << got.status().ToString();
+        continue;
+      }
+      ExpectBitIdentical(clean[i], got.value(),
+                         queries[i] + " nth=" + std::to_string(nth));
+    }
+  }
+  EXPECT_GT(failed, 0) << "agg_distinct_pairs never fired";
+  DisarmAllFaultPoints();
+  // A budget too small for the pair sets unwinds cleanly as well.
+  ExecGuard guard;
+  guard.set_memory_budget_bytes(4096);
+  auto got = db->Execute(queries[1], &guard);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(GovernorTest, EnvSpecArmsAndRejectsMalformedInput) {
