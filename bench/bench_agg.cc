@@ -10,7 +10,8 @@
 //   - sid shape: GROUP BY (g10, sid) over a derived table assigning a
 //     row-addressed `1 + floor(rand() * 100)` subsample id — the AQP hot
 //     path the VerdictDB rewriter emits (Figure 7's inner loop), with its
-//     Double sid key and 1000-group (10 x 100) product.
+//     Int64 sid key (floor() yields Int64, so both keys take the all-Int64
+//     lane) and 1000-group (10 x 100) product.
 //   - small-sample sid shape: GROUP BY (g100, sid) over 16K rows — one
 //     morsel holding ~8K of the 10K (100 x 100) groups, the size of the
 //     samples AQP runs on, where per-statement fixed cost (key gather,

@@ -7,7 +7,9 @@
 // pairs — the modes differ in duplicate-chain length (1 / 16 / n/256), not
 // output volume, so timings compare build+probe cost, not gather volume.
 // Both sides share the combined-gather code path (GatherJoinPairsInto), so
-// the delta is purely key hashing + table build + probe.
+// the delta is purely key hashing + table build + probe. A SQL-level section
+// (also in --smoke) times a wide join read by a narrow aggregate, with the
+// join's output pruned to the referenced columns and at full width.
 //
 // Acceptance bar (ISSUE 4): >= 3x single-thread build+probe speedup over
 // the string-map baseline on the 1M-row unique-key case.
@@ -261,6 +263,102 @@ bool RunBloomSection(bool smoke) {
   return all_ok;
 }
 
+/// SQL-level "wide join, narrow aggregate": a probe side carrying string
+/// columns joined to a dimension, read by a two-column aggregate. The join
+/// gathers only the columns the statement references (docs/INVARIANTS.md,
+/// join-output contract); the full-width row runs the same join under a
+/// `select *` derived table, whose star keeps every column, so the delta is
+/// the gather of the unread columns. The two answers must be identical.
+bool RunWideJoinSection(bool smoke) {
+  using vdb::bench::BenchJsonRecord;
+  using vdb::bench::TimeMedianMs;
+
+  const size_t fact_rows = smoke ? (1 << 16) : 600'000;
+  const size_t dim_rows = 20'000;
+  const int reps = smoke ? 3 : 5;
+  Rng rng(23);
+  std::vector<int64_t> fk(fact_rows), qty(fact_rows);
+  std::vector<double> fv(fact_rows);
+  std::vector<std::string> tag(fact_rows), note(fact_rows);
+  for (size_t r = 0; r < fact_rows; ++r) {
+    fk[r] = static_cast<int64_t>(rng.NextBounded(dim_rows));
+    qty[r] = static_cast<int64_t>(rng.NextBounded(50));
+    fv[r] = static_cast<double>(rng.NextBounded(100'000)) / 100.0;
+    tag[r] = "tag_" + std::to_string(r % 1000);
+    note[r] = "note for row " + std::to_string(r);
+  }
+  auto fact = std::make_shared<Table>();
+  fact->AddColumn("k", Column::FromData(TypeId::kInt64, std::move(fk), {}, {},
+                                        {}));
+  fact->AddColumn("v", Column::FromData(TypeId::kDouble, {}, std::move(fv),
+                                        {}, {}));
+  fact->AddColumn("tag", Column::FromData(TypeId::kString, {}, {},
+                                          std::move(tag), {}));
+  fact->AddColumn("note", Column::FromData(TypeId::kString, {}, {},
+                                           std::move(note), {}));
+  fact->AddColumn("qty", Column::FromData(TypeId::kInt64, std::move(qty), {},
+                                          {}, {}));
+  auto dim = std::make_shared<Table>();
+  dim->AddColumn("k", TypeId::kInt64);
+  dim->AddColumn("name", TypeId::kString);
+  dim->AddColumn("brand", TypeId::kString);
+  dim->AddColumn("w", TypeId::kDouble);
+  for (size_t r = 0; r < dim_rows; ++r) {
+    dim->AppendRow({Value::Int(static_cast<int64_t>(r)),
+                    Value::String("part " + std::to_string(r)),
+                    Value::String("brand#" + std::to_string(r % 25)),
+                    Value::Double(static_cast<double>(r % 7))});
+  }
+  Database db(29);
+  if (!db.RegisterTable("fact", fact).ok() ||
+      !db.RegisterTable("dim", dim).ok()) {
+    std::printf("ERROR: cannot register the wide-join tables\n");
+    return false;
+  }
+
+  const std::string narrow =
+      "select count(*) as c, sum(f.v) as s from fact f inner join dim d "
+      "on f.k = d.k";
+  const std::string full =
+      "select count(*) as c, sum(v) as s from (select * from fact f "
+      "inner join dim d on f.k = d.k) as j";
+  std::printf("\n== wide join, narrow aggregate: fact=%zu (2 string cols) "
+              "x dim=%zu ==\n", fact_rows, dim_rows);
+  std::printf("%-6s %14s %14s %9s  %s\n", "thr", "full-width ms",
+              "pruned ms", "speedup", "answers");
+  bool all_ok = true;
+  for (int threads : smoke ? std::vector<int>{2} : std::vector<int>{1, 2, 4}) {
+    db.set_num_threads(threads);
+    ResultSet narrow_rs, full_rs;
+    bool ok = true;
+    auto run = [&](const std::string& sql, ResultSet* out) {
+      auto rs = db.Execute(sql);
+      if (!rs.ok()) {
+        std::printf("ERROR: %s\n", rs.status().ToString().c_str());
+        ok = false;
+        return;
+      }
+      *out = std::move(rs).ValueOrDie();
+    };
+    const double full_ms = TimeMedianMs(reps, [&] { run(full, &full_rs); });
+    const double narrow_ms =
+        TimeMedianMs(reps, [&] { run(narrow, &narrow_rs); });
+    bool same = ok && narrow_rs.NumRows() == full_rs.NumRows() &&
+                narrow_rs.NumCols() == full_rs.NumCols();
+    for (size_t c = 0; same && c < narrow_rs.NumCols(); ++c) {
+      same = narrow_rs.Get(0, c).Equals(full_rs.Get(0, c));
+    }
+    if (!same) all_ok = false;
+    std::printf("%-6d %14.2f %14.2f %8.2fx  %s\n", threads, full_ms,
+                narrow_ms, full_ms / narrow_ms, same ? "ok" : "MISMATCH");
+    BenchJsonRecord("wide join, narrow aggregate", "full-width", full_ms,
+                    threads);
+    BenchJsonRecord("wide join, narrow aggregate", "pruned", narrow_ms,
+                    threads);
+  }
+  return all_ok;
+}
+
 }  // namespace
 }  // namespace vdb::engine
 
@@ -269,6 +367,7 @@ int main(int argc, char** argv) {
   const bool smoke = vdb::bench::HasFlag(argc, argv, "--smoke");
 
   const bool bloom_ok = vdb::engine::RunBloomSection(smoke);
+  const bool wide_ok = vdb::engine::RunWideJoinSection(smoke);
 
   if (!smoke) {
     // Drop our flags before Google Benchmark sees (and rejects) them.
@@ -283,5 +382,5 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
   }
   vdb::bench::BenchJsonWrite();
-  return bloom_ok ? 0 : 1;
+  return bloom_ok && wide_ok ? 0 : 1;
 }

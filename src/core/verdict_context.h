@@ -75,7 +75,11 @@ class VerdictContext {
                                            ExecInfo* info, bool* handled);
 
   /// Estimates the number of output groups by probing a sample with
-  /// count(distinct ...); 0 when no estimate is available.
+  /// count(distinct ...); 0 when no estimate is available. A multi-column
+  /// GROUP BY probes count(distinct concat(a, '|', b, ...)) (concat has a
+  /// batch kernel): a key tuple holding a NULL is left out of the count,
+  /// since concat is NULL then, while the GROUP BY gives it a group of its
+  /// own.
   int64_t EstimateGroupCardinality(
       const sql::SelectStmt& sel, const QueryClass& qc,
       const std::vector<sampling::SampleInfo>& samples);

@@ -104,8 +104,8 @@ inline bool IntRowsEqual(const KeyLane* lanes, size_t nlanes, uint32_t a,
   return true;
 }
 
-/// Mixed int/double key lanes, still no NULLs (e.g. GROUP BY g, sid where
-/// sid came out of a floor() expression as Double). Per-lane branch on the
+/// Mixed int/double key lanes, still no NULLs (e.g. a Double group column
+/// beside the Int64 sid that floor() yields). Per-lane branch on the
 /// stored int pointer replaces the type switch; double equality keeps the
 /// NaNs-equal rule so grouping matches CellsEqual exactly.
 bool AllNumericNoNull(const std::vector<KeyLane>& lanes) {

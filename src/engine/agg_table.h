@@ -122,7 +122,7 @@ class GroupTable {
       }
       i = (i + 1) & mask;
     }
-    const uint32_t gid = static_cast<uint32_t>(group_hashes_.size());  // vdb-lint: allow(naked-size-narrowing) group count <= row count, guarded by CheckGroupIdCapacity
+    const uint32_t gid = static_cast<uint32_t>(group_hashes_.size());  // vdb-lint: allow(naked-size-narrowing) group count <= row count, guarded by CheckGroupableRows
     slots_[i] = Slot{h, gid};
     group_hashes_.push_back(h);
     *inserted = true;
@@ -149,7 +149,7 @@ class GroupTable {
       for (;;) {
         const Slot s = slots[i];
         if (s.gid == kNoGroup) {
-          gid = static_cast<uint32_t>(group_hashes_.size());  // vdb-lint: allow(naked-size-narrowing) group count <= row count, guarded by CheckGroupIdCapacity
+          gid = static_cast<uint32_t>(group_hashes_.size());  // vdb-lint: allow(naked-size-narrowing) group count <= row count, guarded by CheckGroupableRows
           slots[i] = Slot{h, gid};
           group_hashes_.push_back(h);
           on_insert(k, gid);

@@ -7,21 +7,19 @@
 
 namespace vdb::engine {
 
-namespace {
-std::string ToLower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string FoldName(std::string name) {
+  std::transform(name.begin(), name.end(), name.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  return s;
+  return name;
 }
-}  // namespace
 
 void Scope::Add(const std::string& qualifier, const std::string& name) {
-  cols_.push_back(Col{ToLower(qualifier), ToLower(name)});
+  cols_.push_back(Col{FoldName(qualifier), FoldName(name)});
 }
 
 Result<int> Scope::Resolve(const std::string& qualifier,
                            const std::string& name) const {
-  std::string q = ToLower(qualifier), n = ToLower(name);
+  std::string q = FoldName(qualifier), n = FoldName(name);
   int found = -1;
   for (size_t i = 0; i < cols_.size(); ++i) {
     if (cols_[i].name != n) continue;
@@ -39,7 +37,7 @@ Result<int> Scope::Resolve(const std::string& qualifier,
 }
 
 std::vector<int> Scope::Expand(const std::string& qualifier) const {
-  std::string q = ToLower(qualifier);
+  std::string q = FoldName(qualifier);
   std::vector<int> out;
   for (size_t i = 0; i < cols_.size(); ++i) {
     if (q.empty() || cols_[i].qualifier == q) {

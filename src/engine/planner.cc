@@ -206,19 +206,20 @@ bool RandOutsideWhere(const SelectStmt& stmt) {
   return false;
 }
 
-// ---- Derived-table projection pruning --------------------------------------
-// Column names a statement can reference from a derived table in its FROM:
-// every kColumnRef name in the statement's own expressions (select list,
-// WHERE, GROUP BY, HAVING, ORDER BY, join ON conditions). Nested derived
-// subqueries and scalar subqueries resolve against their own scopes (the
-// engine has no correlated subqueries), so the walk does not descend into
-// them — descending would also pick up their internal `*` items and defeat
-// the prune. A `*` select item references everything; the star that is
-// count(*)'s argument references nothing and is skipped.
+// ---- Column-reference collection (projection and join pruning) ------------
+// Column names a statement can reference from its FROM: every kColumnRef
+// name in the statement's own expressions (select list, WHERE, GROUP BY,
+// HAVING, ORDER BY, every join ON condition in the FROM tree), lowercased
+// as Scope stores them. Nested derived subqueries and scalar subqueries
+// resolve against their own scopes (the engine has no correlated
+// subqueries), so the walk does not descend into them — descending would
+// also pick up their internal `*` items and defeat the prune. A `*` or
+// `t.*` select item references everything; the star that is count(*)'s
+// argument references nothing and is skipped.
 void CollectColumnRefNames(const Expr& e, std::set<std::string>* names,
                            bool* star) {
   switch (e.kind) {
-    case ExprKind::kColumnRef: names->insert(e.name); return;
+    case ExprKind::kColumnRef: names->insert(FoldName(e.name)); return;
     case ExprKind::kStar: *star = true; return;
     default: break;
   }
@@ -312,15 +313,10 @@ class SelectExecutor {
         // identical values — and is disabled whenever dropping a column
         // could change the derived result itself (DISTINCT row set, ORDER
         // BY positions, UNION arity) or a `*` in the outer wants it all.
-        if (current_stmt_ != nullptr && d->union_next == nullptr &&
-            !d->distinct && d->order_by.empty()) {
-          bool star = false;
-          std::set<std::string> needed;
-          CollectColumnRefNamesStmt(*current_stmt_, &needed, &star);
-          if (!star) {
-            sub.output_keep_ = std::move(needed);
-            sub.output_keep_active_ = true;
-          }
+        if (!refs_all_ && d->union_next == nullptr && !d->distinct &&
+            d->order_by.empty()) {
+          sub.output_keep_ = refs_;
+          sub.output_keep_active_ = true;
         }
         auto rs = sub.Run(d);
         if (!rs.ok()) return rs.status();
@@ -423,11 +419,33 @@ class SelectExecutor {
       }
     }
 
+    // Join output pruning: gather only the combined columns whose names the
+    // statement references (refs_, which includes every ON condition, so
+    // each level of a nested join keeps its parent's keys). Every column of
+    // a referenced name survives, qualified or not, so binding — ambiguity
+    // and not-found errors included — resolves exactly as over the full
+    // scope. Pairs are untouched: the rows, their order and every
+    // row-addressed rand() draw are the same. A `*` or `t.*` keeps all
+    // columns. As for derived tables, at least one column always survives
+    // (a bare count(*) over a cross join references none), so no operator
+    // downstream meets a table without columns.
     RelResult out;
-    auto gathered = pairs.GatherGuarded(db_->num_threads(), guard_);
+    std::vector<uint8_t> keep(combined.size(), 1);
+    if (!refs_all_) {
+      bool any = false;
+      for (size_t c = 0; c < combined.size(); ++c) {
+        keep[c] = refs_.count(combined.name(c)) != 0 ? 1 : 0;
+        any = any || keep[c] != 0;
+      }
+      if (!any) keep[0] = 1;
+    }
+    for (size_t c = 0; c < combined.size(); ++c) {
+      if (keep[c] != 0) out.scope.Add(combined.qualifier(c), combined.name(c));
+    }
+    auto gathered = pairs.GatherGuarded(db_->num_threads(), guard_,
+                                        refs_all_ ? nullptr : &keep);
     if (!gathered.ok()) return gathered.status();
     out.table = std::move(gathered).ValueOrDie();
-    out.scope = std::move(combined);
     return out;
   }
 
@@ -511,7 +529,9 @@ class SelectExecutor {
 
   // ------------------------------------------------------------ main body --
   Result<ResultSet> RunSingle(SelectStmt* stmt) {
-    current_stmt_ = stmt;
+    refs_.clear();
+    refs_all_ = false;
+    CollectColumnRefNamesStmt(*stmt, &refs_, &refs_all_);
     // WHERE pushdown eligibility: when the FROM root is a join, the WHERE
     // can filter candidate pairs before the join's one combined gather
     // (ExecuteJoin consumes pushdown_where_). rand()-bearing predicates are
@@ -680,7 +700,9 @@ class SelectExecutor {
     if (output_keep_active_ && !outs.empty()) {
       std::vector<OutItem> kept;
       for (auto& oi : outs) {
-        if (output_keep_.count(oi.name) != 0) kept.push_back(std::move(oi));
+        if (output_keep_.count(FoldName(oi.name)) != 0) {
+          kept.push_back(std::move(oi));
+        }
       }
       if (kept.empty()) kept.push_back(std::move(outs[0]));
       outs = std::move(kept);
@@ -1528,15 +1550,17 @@ class SelectExecutor {
   const Expr* pushdown_where_ = nullptr;
   bool pushdown_where_applied_ = false;
 
-  /// Statement currently executing in RunSingle — the reference scope
-  /// ExecuteFrom consults when deciding which derived-table outputs the
-  /// outer level can actually touch.
-  const SelectStmt* current_stmt_ = nullptr;
+  /// The column names the statement in RunSingle references
+  /// (CollectColumnRefNamesStmt), computed once per RunSingle; refs_all_ is
+  /// set when a `*` or `t.*` item references every column. ExecuteFrom
+  /// prunes derived-table outputs and ExecuteJoin prunes its gather by it.
+  std::set<std::string> refs_;
+  bool refs_all_ = true;
   /// Derived-table projection pruning (set by the PARENT executor before
   /// Run): when active, RunProjection drops select outputs whose names are
-  /// not in the keep set. Never applied to DISTINCT / ORDER BY / UNION /
-  /// grouped statements — those shapes are gated off at the call site or
-  /// take the grouped path, which ignores the filter.
+  /// not in the keep set (case-insensitively). Never applied to DISTINCT /
+  /// ORDER BY / UNION / grouped statements — those shapes are gated off at
+  /// the call site or take the grouped path, which ignores the filter.
   std::set<std::string> output_keep_;
   bool output_keep_active_ = false;
 };

@@ -13,6 +13,18 @@ std::string ToLower(std::string s) {
                  [](unsigned char c) { return std::tolower(c); });
   return s;
 }
+
+/// Rough heap bytes of one value of `type` (ApproxBytes' per-cell model).
+size_t ApproxCellBytes(TypeId type) {
+  switch (type) {
+    case TypeId::kNull: return 0;
+    case TypeId::kBool:
+    case TypeId::kInt64:
+    case TypeId::kDouble: return 8;
+    case TypeId::kString: return 24;
+  }
+  return 0;
+}
 }  // namespace
 
 void Table::AddColumn(const std::string& name, TypeId type) {
@@ -76,15 +88,7 @@ void Table::AppendRange(const Table& src, size_t start, size_t count) {
 
 size_t Table::ApproxBytes() const {
   size_t bytes = 0;
-  for (const auto& c : columns_) {
-    switch (c.type()) {
-      case TypeId::kNull: break;
-      case TypeId::kBool:
-      case TypeId::kInt64:
-      case TypeId::kDouble: bytes += c.size() * 8; break;
-      case TypeId::kString: bytes += c.size() * 24; break;
-    }
-  }
+  for (const auto& c : columns_) bytes += c.size() * ApproxCellBytes(c.type());
   return bytes;
 }
 
@@ -221,28 +225,40 @@ Column RowView::GatherColumn(const Column& src, int num_threads) const {
 
 // ---- JoinPairView -----------------------------------------------------------
 
-TablePtr JoinPairView::Gather(int num_threads) const {
+TablePtr JoinPairView::Gather(int num_threads,
+                              const std::vector<uint8_t>* column_mask) const {
+  const size_t count = lrows_.size();
   auto out = std::make_shared<Table>();
-  GatherJoinPairsInto(*left_, lrows_.data(), *right_, rrows_.data(),
-                      lrows_.size(), num_threads, out.get());
-  return out;
+  GatherJoinPairsInto(*left_, lrows_.data(), *right_, rrows_.data(), count,
+                      num_threads, out.get(), column_mask);
+  if (column_mask == nullptr) return out;
+  // Move the flagged columns into the narrow result; the unflagged slots of
+  // the combined layout stayed empty throughout.
+  auto narrow = std::make_shared<Table>();
+  for (size_t c = 0; c < out->num_columns(); ++c) {
+    if ((*column_mask)[c] == 0) continue;
+    narrow->AddColumn(out->column_name(c), std::move(out->column(c)));
+  }
+  narrow->SetRowCount(count);
+  return narrow;
 }
 
-Result<TablePtr> JoinPairView::GatherGuarded(int num_threads,
-                                             const ExecGuard* guard) const {
+Result<TablePtr> JoinPairView::GatherGuarded(
+    int num_threads, const ExecGuard* guard,
+    const std::vector<uint8_t>* column_mask) const {
   VDB_RETURN_IF_ERROR(GuardCheck(guard, "gather"));
+  const size_t lcols = left_->num_columns();
   uint64_t per_pair = 0;
-  if (left_->num_rows() > 0) {
-    per_pair += static_cast<uint64_t>(left_->ApproxBytes()) / left_->num_rows();
-  }
-  if (right_->num_rows() > 0) {
-    per_pair +=
-        static_cast<uint64_t>(right_->ApproxBytes()) / right_->num_rows();
+  for (size_t c = 0; c < lcols + right_->num_columns(); ++c) {
+    if (column_mask != nullptr && (*column_mask)[c] == 0) continue;
+    const Column& src =
+        c < lcols ? left_->column(c) : right_->column(c - lcols);
+    per_pair += ApproxCellBytes(src.type());
   }
   // Charge persists with the combined table (see RowView::GatherGuarded).
   VDB_RETURN_IF_ERROR(GuardTryReserve(
       guard, per_pair * static_cast<uint64_t>(lrows_.size()), "gather_alloc"));
-  return Gather(num_threads);
+  return Gather(num_threads, column_mask);
 }
 
 void GatherJoinPairsInto(const Table& left, const uint32_t* lrows,

@@ -184,14 +184,21 @@ class JoinPairView {
   const SelVector& rrows() const { return rrows_; }
 
   /// The single combined (left ++ right) materialization of the surviving
-  /// pairs; null extensions emit NULL right columns.
-  TablePtr Gather(int num_threads = 1) const;
+  /// pairs; null extensions emit NULL right columns. `column_mask` (may be
+  /// null = every column), one flag per combined column, narrows the output
+  /// to the flagged columns, in combined order: unflagged columns are never
+  /// copied and are absent from the result, which still holds one row per
+  /// pair.
+  TablePtr Gather(int num_threads = 1,
+                  const std::vector<uint8_t>* column_mask = nullptr) const;
 
   /// Guard-aware Gather: polls `guard` (site "gather") and pre-charges the
-  /// approximate combined output footprint (site "gather_alloc") before
-  /// materializing; the charge persists with the gathered table. With
-  /// guard == nullptr this is exactly Gather().
-  Result<TablePtr> GatherGuarded(int num_threads, const ExecGuard* guard) const;
+  /// approximate footprint of the emitted columns (site "gather_alloc")
+  /// before materializing; the charge persists with the gathered table.
+  /// With guard == nullptr this is exactly Gather().
+  Result<TablePtr> GatherGuarded(
+      int num_threads, const ExecGuard* guard,
+      const std::vector<uint8_t>* column_mask = nullptr) const;
 
  private:
   TablePtr left_, right_;

@@ -1313,6 +1313,47 @@ Result<Vec> EvalVec(const Expr& e, const Batch& b) {
                                    std::move(nulls));
         return v;
       }
+      // concat (the multi-column NDV probe's count(distinct concat(a, '|',
+      // b))): one string assembled per lane from the evaluated arguments,
+      // NULL when any argument is NULL, as in the row interpreter. Values
+      // render through Value::ToString; string lanes append in place and
+      // constants render once. An empty batch takes the fallback, whose
+      // result type (NULL) the output boundary expects.
+      if (e.name == "concat" && n > 0) {
+        std::vector<std::string> out(n);
+        std::vector<uint8_t> nulls;
+        for (const auto& arg : e.args) {
+          auto av = EvalVec(*arg, b);
+          if (!av.ok()) return av.status();
+          const Vec& a = av.value();
+          if (a.is_const) {
+            if (a.IsNull(0)) return ConstVec(Value::Null());
+            const std::string s = a.At(0).ToString();
+            for (size_t k = 0; k < n; ++k) out[k] += s;
+            continue;
+          }
+          const bool strings = !a.mixed && a.type() == TypeId::kString;
+          for (size_t k = 0; k < n; ++k) {
+            if (a.IsNull(k)) {
+              if (nulls.empty()) nulls.assign(n, 0);
+              nulls[k] = 1;
+            } else if (strings) {
+              out[k] += a.col().GetString(a.pos(k));
+            } else {
+              out[k] += a.At(k).ToString();
+            }
+          }
+        }
+        // All-NULL lanes type as NULL, like the fallback's result.
+        if (!nulls.empty() &&
+            std::find(nulls.begin(), nulls.end(), 0) == nulls.end()) {
+          return ConstVec(Value::Null());
+        }
+        Vec v;
+        v.owned = Column::FromData(TypeId::kString, {}, {}, std::move(out),
+                                   std::move(nulls));
+        return v;
+      }
       return RowFallback(e, b);
     }
     case ExprKind::kCase:

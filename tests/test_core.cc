@@ -13,7 +13,9 @@
 #include "core/verdict_context.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "workload/queries.h"
 #include "workload/synthetic.h"
+#include "workload/tpch.h"
 
 namespace vdb::core {
 namespace {
@@ -393,6 +395,64 @@ TEST_F(VerdictE2E, StatementLogStaysBoundedAcrossQueries) {
               with_build.end())
         << "sample-build statement survived the next query: " << stmt;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Group-cardinality (NDV) probe
+// ---------------------------------------------------------------------------
+
+TEST(VerdictNdvProbeTest, MultiColumnProbeCountsTheKeyTuples) {
+  // A multi-column GROUP BY probes count(distinct concat(a, '|', b)) before
+  // planning, and the answer is the group hint that sizes b. On tq-1's and
+  // tq-16's NULL-free keys, none holding a '|', the probe (on concat's
+  // batch kernel) counts exactly the key tuples a GROUP BY forms, at every
+  // thread count. (concat is NULL when any key is, so a tuple holding a
+  // NULL is left out of the count.)
+  engine::Database db(4242);
+  workload::TpchConfig tc;
+  tc.scale = 0.1;
+  ASSERT_TRUE(workload::GenerateTpch(&db, tc).ok());
+  VerdictOptions opts;
+  opts.min_rows_for_sampling = 3000;
+  VerdictContext ctx(&db, driver::EngineKind::kGeneric, opts);
+  ASSERT_TRUE(ctx.sample_builder().CreateUniformSample("lineitem", 0.05).ok());
+  const std::string kPrefix = "select count(distinct concat(";
+  const std::string kSep = ", '|', ";
+  int probed = 0;
+  for (const auto& q : workload::TpchQueries()) {
+    if (q.id != "tq-1" && q.id != "tq-16") continue;
+    ASSERT_TRUE(ctx.Execute(q.sql).ok()) << q.id;
+    std::string probe;
+    for (const std::string& stmt : ctx.connection().statement_log()) {
+      if (stmt.rfind(kPrefix, 0) == 0) probe = stmt;
+    }
+    ASSERT_FALSE(probe.empty()) << q.id << " issued no multi-column probe";
+    ++probed;
+    // "select count(distinct concat(a, '|', b)) as c from t"
+    const size_t args = kPrefix.size();
+    const size_t close = probe.find(')', args);
+    const size_t sep = probe.find(kSep, args);
+    ASSERT_LT(sep, close) << probe;
+    const std::string a = probe.substr(args, sep - args);
+    const std::string b =
+        probe.substr(sep + kSep.size(), close - sep - kSep.size());
+    const std::string table = probe.substr(probe.rfind(' ') + 1);
+    const std::string groups = "select count(*) as c from (select " + a +
+                               ", " + b + " from " + table + " group by " +
+                               a + ", " + b + ") as t";
+    for (int threads : {1, 2, 8}) {
+      db.set_num_threads(threads);
+      auto hint = db.Execute(probe);
+      auto truth = db.Execute(groups);
+      ASSERT_TRUE(hint.ok()) << probe << ": " << hint.status().ToString();
+      ASSERT_TRUE(truth.ok()) << groups << ": " << truth.status().ToString();
+      EXPECT_GT(truth.value().Get(0, 0).AsInt(), 1) << groups;
+      EXPECT_EQ(hint.value().Get(0, 0).AsInt(),
+                truth.value().Get(0, 0).AsInt())
+          << probe << " @" << threads;
+    }
+  }
+  EXPECT_EQ(probed, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -231,6 +231,19 @@ TEST_F(EngineTest, DerivedTable) {
   EXPECT_NEAR(rs.GetDouble(0, 0), 280.0 / 3.0, 1e-9);
 }
 
+TEST_F(EngineTest, DerivedPruningMatchesNamesCaseInsensitively) {
+  // The outer statement's references decide which derived outputs survive;
+  // they match the outputs' names case-insensitively, as binding does.
+  auto rs = Run("select CITY from (select id, city from orders) as o "
+                "where ID = 3");
+  ASSERT_EQ(rs.NumRows(), 1u);
+  EXPECT_EQ(rs.Get(0, 0).AsString(), "detroit");
+  rs = Run("select Price from (select id, city, price as PRICE from orders) "
+           "as o where id = 2");
+  ASSERT_EQ(rs.NumRows(), 1u);
+  EXPECT_DOUBLE_EQ(rs.GetDouble(0, 0), 20.0);
+}
+
 TEST_F(EngineTest, ScalarSubquery) {
   auto rs = Run(
       "select count(*) as c from orders "

@@ -267,6 +267,40 @@ TEST_F(GovernorTest, TinyBudgetTripsRowProportionalStagesCleanly) {
   }
 }
 
+TEST_F(GovernorTest, NarrowSelectOverWideJoinChargesOnlyItsColumns) {
+  // A joined pair of orders (id, city, price, k) and dim (k, label) is 80
+  // bytes at full width under Table::ApproxBytes' model (8 per number, 24
+  // per string). A count(*) keyed on k gathers only the two k columns, so
+  // the statement's whole peak reservation, join scratch included, stays
+  // below the full-width gather charge alone; the same join under a
+  // `select *` derived table, whose star keeps every column, charges at
+  // least that much.
+  constexpr uint64_t kFullPairBytes = 8 + 24 + 8 + 8 + 8 + 24;
+  for (int threads : {1, 2, 8}) {
+    auto db = MakeDb(4001, threads);
+    ExecGuard guard;
+    guard.set_memory_budget_bytes(1ull << 40);
+    auto narrow = db->Execute(
+        "select count(*) as c from orders o inner join dim d on o.k = d.k",
+        &guard);
+    ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+    const auto pairs = static_cast<uint64_t>(narrow.value().Get(0, 0).AsInt());
+    ASSERT_GT(pairs, 1000u);
+    const uint64_t full_width = pairs * kFullPairBytes;
+    EXPECT_LT(guard.peak_reserved_bytes(), full_width) << "@" << threads;
+
+    guard.ResetForStatement();
+    auto wide = db->Execute(
+        "select count(*) as c from (select * from orders o inner join dim d "
+        "on o.k = d.k) as j",
+        &guard);
+    ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+    ExpectBitIdentical(narrow.value(), wide.value(),
+                       "narrow vs star @" + std::to_string(threads));
+    EXPECT_GE(guard.peak_reserved_bytes(), full_width) << "@" << threads;
+  }
+}
+
 // ---- armed-but-untripped guard: bit-identity --------------------------------
 
 TEST_F(GovernorTest, UntrippedGuardIsBitIdenticalToUnguardedRun) {
@@ -353,8 +387,9 @@ TEST_F(GovernorTest, FaultSweepEveryReachableSiteFailsClean) {
   const std::vector<std::string> sites = ObservedFaultSites();
   ASSERT_FALSE(sites.empty());
   // The stages the tentpole governs must all be represented.
-  for (const char* must : {"agg_partial", "join_build", "join_probe",
-                           "gather", "cross_join", "agg_distinct_pairs"}) {
+  for (const char* must :
+       {"agg_partial", "join_build", "join_probe", "gather", "gather_alloc",
+        "cross_join", "agg_distinct_pairs"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), must), sites.end())
         << "workload never reached governed site " << must;
   }
@@ -443,7 +478,7 @@ TEST_F(GovernorTest, DistinctPairFaultNeverYieldsWrongCounts) {
     clean.push_back(std::move(got).ValueOrDie());
   }
   int failed = 0;
-  for (int nth : {1, 2, 5, 12}) {
+  for (uint64_t nth : {1u, 2u, 5u, 12u}) {
     for (size_t i = 0; i < queries.size(); ++i) {
       DisarmAllFaultPoints();
       ArmFaultPointNth("agg_distinct_pairs", nth,

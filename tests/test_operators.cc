@@ -5,7 +5,10 @@
 // zero key canonicalization, empty/all-NULL build sides, mixed-type keys,
 // morsel-boundary null extension, and a differential fuzz loop against the
 // old string-map join kept here as the reference, all bit-identical at
-// 1/2/8 threads.
+// 1/2/8 threads. The SQL-level section at the bottom checks join output
+// pruning (a join gathers only the columns its statement references)
+// against the same join under a `select *` derived table, which keeps every
+// column.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +23,10 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "engine/aggregates.h"
+#include "engine/database.h"
 #include "engine/group_ids.h"
 #include "engine/join_table.h"
+#include "engine/kernels/kernels.h"
 #include "engine/operators.h"
 #include "sql/ast.h"
 
@@ -664,6 +669,293 @@ TEST_F(JoinRewriteTest, DifferentialFuzzWithResidual) {
                               "residual fuzz iter " + std::to_string(iter),
                               residual.get(), residual_ref);
   }
+}
+
+// ---- join output pruning ----------------------------------------------------
+// A join emits only the combined columns whose names its statement
+// references (docs/INVARIANTS.md, join-output contract). The oracle runs the
+// same join inside a `select *` derived table, whose star keeps the join at
+// full width, and applies the rest of the statement outside it. Both run
+// from the same query seed, so rand() draws compare too; errors must match
+// message for message.
+
+TablePtr MakePruneTable(const std::vector<std::string>& names,
+                        const std::vector<TypeId>& types, size_t rows,
+                        const std::function<Value(size_t, size_t)>& cell) {
+  auto t = std::make_shared<Table>();
+  for (size_t c = 0; c < names.size(); ++c) t->AddColumn(names[c], types[c]);
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < names.size(); ++c) row.push_back(cell(r, c));
+    t->AppendRow(row);
+  }
+  return t;
+}
+
+class JoinPruningTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SetMorselRowsForTest(64);
+    using T = TypeId;
+    // f: 300 rows over 5 morsels; fk 30..36 never match d, so left joins
+    // null-extend on both sides of every morsel boundary. f and d share the
+    // column name `tag`.
+    auto f_cell = [](size_t r, size_t c) {
+      switch (c) {
+        case 0: return Value::Int(static_cast<int64_t>(r % 37));
+        case 1: return Value::Double(static_cast<double>(r) * 0.25 + 0.1);
+        case 2: return Value::String("s" + std::to_string(r % 5));
+        case 3:
+          return r % 7 == 0 ? Value::Null()
+                            : Value::Int(static_cast<int64_t>(r % 11));
+        default: return Value::String("ft" + std::to_string(r % 3));
+      }
+    };
+    ASSERT_TRUE(db_.RegisterTable(
+                       "f", MakePruneTable({"fk", "fv", "fs", "fn", "tag"},
+                                           {T::kInt64, T::kDouble, T::kString,
+                                            T::kInt64, T::kString},
+                                           300, f_cell))
+                    .ok());
+    auto d_cell = [](size_t r, size_t c) {
+      const auto k = static_cast<int64_t>(r);
+      switch (c) {
+        case 0: return Value::Int(k);
+        case 1: return Value::Double(static_cast<double>(k) * 1.5);
+        case 2: return Value::String("d" + std::to_string(k % 4));
+        case 3: return Value::String("dt" + std::to_string(k % 2));
+        default: return Value::Int(k % 10);
+      }
+    };
+    ASSERT_TRUE(db_.RegisterTable(
+                       "d", MakePruneTable({"dk", "dv", "ds", "tag", "dk2"},
+                                           {T::kInt64, T::kDouble, T::kString,
+                                            T::kString, T::kInt64},
+                                           30, d_cell))
+                    .ok());
+    // e and h: the third and fourth levels of a left-deep chain.
+    auto e_cell = [](size_t r, size_t c) {
+      const auto k = static_cast<int64_t>(r);
+      switch (c) {
+        case 0: return Value::Int(k);
+        case 1: return Value::Double(0.5 + static_cast<double>(k));
+        case 2: return Value::String("e" + std::to_string(k));
+        default: return Value::Int(k % 5);
+      }
+    };
+    ASSERT_TRUE(db_.RegisterTable(
+                       "e", MakePruneTable({"ek", "ew", "es", "ek2"},
+                                           {T::kInt64, T::kDouble, T::kString,
+                                            T::kInt64},
+                                           10, e_cell))
+                    .ok());
+    auto h_cell = [](size_t r, size_t c) {
+      const auto k = static_cast<int64_t>(r);
+      switch (c) {
+        case 0: return Value::Int(k);
+        case 1: return Value::Double(2.0 - 0.25 * static_cast<double>(k));
+        default: return Value::String("h" + std::to_string(k));
+      }
+    };
+    ASSERT_TRUE(db_.RegisterTable(
+                       "h", MakePruneTable({"hk", "hw", "hs"},
+                                           {T::kInt64, T::kDouble, T::kString},
+                                           5, h_cell))
+                    .ok());
+  }
+  void TearDown() override {
+    SetMorselRowsForTest(0);
+    kernels::SetSimdLevelForTest(kernels::DetectedSimdLevel());
+  }
+
+  /// Runs `pruned` and `oracle` from the same query seed at 1/2/8 threads
+  /// under scalar and native SIMD dispatch; both must fail with the same
+  /// message or return bit-identical results (names included).
+  void ExpectMatchesOracle(const std::string& pruned,
+                           const std::string& oracle) {
+    for (auto level :
+         {kernels::SimdLevel::kScalar, kernels::DetectedSimdLevel()}) {
+      kernels::SetSimdLevelForTest(level);
+      for (int threads : {1, 2, 8}) {
+        db_.set_num_threads(threads);
+        const std::string what = pruned + " @" + std::to_string(threads) +
+                                 " " + kernels::SimdLevelName(level);
+        const Rng seeds = db_.rng();
+        auto got = db_.Execute(pruned);
+        db_.rng() = seeds;
+        auto ref = db_.Execute(oracle);
+        ASSERT_EQ(ref.ok(), got.ok())
+            << what << ": oracle " << ref.status().ToString() << " vs "
+            << got.status().ToString();
+        if (!ref.ok()) {
+          EXPECT_EQ(ref.status().ToString(), got.status().ToString()) << what;
+          continue;
+        }
+        EXPECT_EQ(ref.value().names, got.value().names) << what;
+        ExpectTablesBitIdentical(*ref.value().table, *got.value().table, what);
+      }
+    }
+  }
+
+  Database db_{515};
+};
+
+TEST_F(JoinPruningTest, UnqualifiedAndQualifiedRefs) {
+  ExpectMatchesOracle(
+      "select fv, dv from f inner join d on fk = dk",
+      "select fv, dv from (select * from f inner join d on fk = dk) as j");
+  ExpectMatchesOracle(
+      "select f.fv, d.ds, f.fs from f inner join d on f.fk = d.dk "
+      "where d.dv > 3",
+      "select j.fv, j.ds, j.fs from (select * from f inner join d "
+      "on f.fk = d.dk) as j where j.dv > 3");
+  // Names match case-insensitively, as Scope::Resolve does.
+  ExpectMatchesOracle(
+      "select FV, D.DS from f inner join d on F.FK = d.DK where Fn > 3",
+      "select FV, J.DS from (select * from f inner join d on F.FK = d.DK) "
+      "as j where Fn > 3");
+  // A derived table on one side of the join, pruned by the same names.
+  ExpectMatchesOracle(
+      "select x.fv, dv from (select fk, fv, fs from f where fv > 2) as x "
+      "inner join d on x.fk = dk",
+      "select fv, dv from (select * from (select fk, fv, fs from f "
+      "where fv > 2) as x inner join d on x.fk = dk) as j");
+}
+
+TEST_F(JoinPruningTest, SameNameOnBothSidesKeepsAmbiguityAndBothColumns) {
+  // Unqualified `tag` names a column of each side: still ambiguous.
+  ExpectMatchesOracle(
+      "select tag from f inner join d on fk = dk",
+      "select tag from (select * from f inner join d on fk = dk) as j");
+  ExpectMatchesOracle(
+      "select nosuch from f inner join d on fk = dk",
+      "select nosuch from (select * from f inner join d on fk = dk) as j");
+  // Qualified, both resolve; the oracle's inner star keeps its join whole.
+  ExpectMatchesOracle(
+      "select f.tag as ft, d.tag as dt, fv from f inner join d on fk = dk",
+      "select ft, dt, fv from (select f.tag as ft, d.tag as dt, * from f "
+      "inner join d on fk = dk) as j");
+  auto rs = db_.Execute("select f.tag as ft, d.tag as dt from f "
+                        "inner join d on fk = dk");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs.value().Get(1, 0).AsString(), "ft1");
+  EXPECT_EQ(rs.value().Get(1, 1).AsString(), "dt1");
+}
+
+TEST_F(JoinPruningTest, QualifiedStarKeepsEveryColumn) {
+  // `d.*` turns pruning off; the explicit list is pruned. Same answer.
+  ExpectMatchesOracle(
+      "select dk, dv, ds, d.tag, dk2, fv from f inner join d on fk = dk",
+      "select d.*, fv from f inner join d on fk = dk");
+  ExpectMatchesOracle("select fs, fv from f inner join d on fk = dk",
+                      "select fs, fv from (select f.* from f inner join d "
+                      "on fk = dk) as j");
+}
+
+TEST_F(JoinPruningTest, LeftJoinNullExtensionAcrossMorsels) {
+  ExpectMatchesOracle(
+      "select fv, fs, dv, ds from f left join d on fk = dk",
+      "select fv, fs, dv, ds from (select * from f left join d on fk = dk) "
+      "as j");
+  ExpectMatchesOracle(
+      "select fs, count(*) as c, sum(dv) as s from f left join d on fk = dk "
+      "group by fs order by fs",
+      "select fs, count(*) as c, sum(dv) as s from (select * from f "
+      "left join d on fk = dk) as j group by fs order by fs");
+}
+
+TEST_F(JoinPruningTest, FourWayLeftDeepChain) {
+  // Every level's ON keys (dk2, ek, ek2, hk) are referenced only by the
+  // parent's ON, so each level must keep them.
+  ExpectMatchesOracle(
+      "select fs, sum(fv * hw) as s, count(*) as c from f "
+      "inner join d on fk = dk inner join e on dk2 = ek "
+      "inner join h on ek2 = hk group by fs order by fs",
+      "select fs, sum(fv * hw) as s, count(*) as c from (select * from f "
+      "inner join d on fk = dk inner join e on dk2 = ek "
+      "inner join h on ek2 = hk) as j group by fs order by fs");
+  ExpectMatchesOracle(
+      "select fv, es, hs from f left join d on fk = dk "
+      "left join e on dk2 = ek inner join h on ek2 = hk",
+      "select fv, es, hs from (select * from f left join d on fk = dk "
+      "left join e on dk2 = ek inner join h on ek2 = hk) as j");
+}
+
+TEST_F(JoinPruningTest, ResidualOnAColumnReferencedNowhereElse) {
+  ExpectMatchesOracle(
+      "select fv from f inner join d on fk = dk and ds <> 'd2'",
+      "select fv from (select * from f inner join d on fk = dk "
+      "and ds <> 'd2') as j");
+  ExpectMatchesOracle(
+      "select fv, dv from f left join d on fk = dk and fn > dv",
+      "select fv, dv from (select * from f left join d on fk = dk "
+      "and fn > dv) as j");
+  // A cross join whose statement references no column keeps one, so a
+  // bare count(*) still counts every pair.
+  ExpectMatchesOracle(
+      "select count(*) as c from f cross join h",
+      "select count(*) as c from (select * from f cross join h) as j");
+  ExpectMatchesOracle(
+      "select count(*) as c from f inner join h on fv > hw",
+      "select count(*) as c from (select * from f inner join h "
+      "on fv > hw) as j");
+}
+
+TEST_F(JoinPruningTest, RandInPushedDownWhere) {
+  ExpectMatchesOracle(
+      "select fv, dv from f inner join d on fk = dk where rand() < 0.5",
+      "select fv, dv from (select * from f inner join d on fk = dk) as j "
+      "where rand() < 0.5");
+  ExpectMatchesOracle(
+      "select fs, count(*) as c from f left join d on fk = dk "
+      "where rand() < 0.4 or ds is null group by fs order by fs",
+      "select fs, count(*) as c from (select * from f left join d "
+      "on fk = dk) as j where rand() < 0.4 or ds is null group by fs "
+      "order by fs");
+}
+
+TEST_F(JoinPruningTest, UnionAllBranchesPruneIndependently) {
+  ExpectMatchesOracle(
+      "select fv from f inner join d on fk = dk where dv > 10 "
+      "union all select dv from f inner join d on fk = dk where fv < 5",
+      "select fv from (select * from f inner join d on fk = dk) as j "
+      "where dv > 10 union all select dv from (select * from f "
+      "inner join d on fk = dk) as j where fv < 5");
+}
+
+TEST_F(JoinPruningTest, ScalarSubqueries) {
+  ExpectMatchesOracle(
+      "select fv, (select max(dv) from f inner join d on fk = dk "
+      "where fs = 's1') as m from f inner join d on fk = dk where ds = 'd0'",
+      "select fv, (select max(dv) from (select * from f inner join d "
+      "on fk = dk) as j where fs = 's1') as m from (select * from f "
+      "inner join d on fk = dk) as j where ds = 'd0'");
+  // A subquery in the WHERE keeps it off the pair view: the WHERE runs
+  // after the pruned gather, over the pruned scope.
+  ExpectMatchesOracle(
+      "select fs, dv from f inner join d on fk = dk "
+      "where fv > (select avg(dv) from f inner join d on fk = dk)",
+      "select fs, dv from (select * from f inner join d on fk = dk) as j "
+      "where fv > (select avg(dv) from (select * from f inner join d "
+      "on fk = dk) as j)");
+}
+
+TEST_F(JoinPruningTest, GroupByAndOrderByOutsideTheSelectList) {
+  ExpectMatchesOracle(
+      "select sum(fv) as s from f inner join d on fk = dk "
+      "group by ds, fs order by sum(fv)",
+      "select sum(fv) as s from (select * from f inner join d on fk = dk) "
+      "as j group by ds, fs order by sum(fv)");
+  ExpectMatchesOracle(
+      "select ds as grp, count(*) as c from f inner join d on fk = dk "
+      "group by grp order by grp",
+      "select ds as grp, count(*) as c from (select * from f inner join d "
+      "on fk = dk) as j group by grp order by grp");
+  ExpectMatchesOracle(
+      "select fs, fv, sum(fv) over (partition by ds) as w from f "
+      "inner join d on fk = dk",
+      "select fs, fv, sum(fv) over (partition by ds) as w from (select * "
+      "from f inner join d on fk = dk) as j");
 }
 
 }  // namespace

@@ -339,6 +339,42 @@ TEST(VectorEvalFuzz, RandomNullPatterns) {
   }
 }
 
+TEST(VectorEvalFuzz, ConcatBatchMatchesRow) {
+  // concat's batch kernel (string lanes appended in place, constants
+  // rendered once, every other value through Value::ToString) must build
+  // the row interpreter's string on every lane: 0-3 random arguments joined
+  // by '|' literals, as the multi-column NDV probe writes them, over the
+  // full table (where the column types must agree too) and under a
+  // selection vector.
+  Rng rng(31337);
+  auto t = MakeRandomTable(&rng, 257);
+  ExprGen gen(&rng);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Expr::Ptr> args;
+    const size_t arity = rng.NextBounded(4);
+    for (size_t a = 0; a < arity; ++a) {
+      if (a > 0) args.push_back(sql::MakeStringLit("|"));
+      args.push_back(gen.Gen(2));
+    }
+    auto e = sql::MakeFunction("concat", std::move(args));
+    Batch full{t.get(), nullptr, /*rand_seed=*/7};
+    ExpectBatchMatchesRow(*e, full);
+    auto row_col = RowReference(*e, full);
+    auto batch_col = EvalExprBatch(*e, full);
+    if (row_col.ok() && batch_col.ok()) {
+      EXPECT_EQ(row_col.value().type(), batch_col.value().type())
+          << sql::PrintExpr(*e);
+    }
+    SelVector sel;
+    for (uint32_t r = 0; r < t->num_rows(); ++r) {
+      if (rng.NextBernoulli(0.4)) sel.push_back(r);
+    }
+    Batch part{t.get(), &sel, /*rand_seed=*/11};
+    ExpectBatchMatchesRow(*e, part);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch-level differential fuzz: every randomized expression must produce
 // BIT-identical results (doubles compared by bit pattern, NULL masks exactly)
