@@ -242,6 +242,33 @@ void RunSimdKernels(Rng* rng) {
                      std::memcpy(&s, &dout[n - 1], sizeof(s));
                      return s;
                    }});
+  auto last_bits = [&]() {
+    uint64_t s;
+    std::memcpy(&s, &dout[n - 1], sizeof(s));
+    return s;
+  };
+  cases.push_back({"round_f64_i64: floor(a)", [&] {
+                     k::Ops().round_f64_i64(k::RoundOp::kFloor, da.data(), n,
+                                            iout.data());
+                     return static_cast<uint64_t>(iout[n - 1]);
+                   }});
+  cases.push_back({"div_f64_vv: a / b", [&] {
+                     k::Ops().div_f64_vv(da.data(), db.data(), n, dout.data());
+                     return last_bits();
+                   }});
+  cases.push_back({"hash_unit_i64: verdict_hash(a)", [&] {
+                     k::Ops().hash_unit_i64(ia.data(), n, dout.data());
+                     return last_bits();
+                   }});
+  cases.push_back({"hash_unit_f64: verdict_hash(a)", [&] {
+                     k::Ops().hash_unit_f64(da.data(), n, dout.data());
+                     return last_bits();
+                   }});
+  cases.push_back({"sid_from_unit: 1+floor(u*196)", [&] {
+                     k::Ops().sid_from_unit(da.data(), 0.196, 1, n,
+                                            iout.data());
+                     return static_cast<uint64_t>(iout[n - 1]);
+                   }});
   cases.push_back({"hash_mix_i64 (group/join keys)", [&] {
                      std::fill(h.begin(), h.end(), 0x2545F4914F6CDD1Dull);
                      k::Ops().hash_mix_i64(h.data(), ia.data(), nullptr,

@@ -1,7 +1,6 @@
 #include "common/hash.h"
 
 #include <array>
-#include <cmath>
 
 namespace vdb {
 
@@ -22,17 +21,8 @@ uint64_t HashValue(const Value& v) {
     case TypeId::kBool:
     case TypeId::kInt64:
       return HashMix64(static_cast<uint64_t>(v.AsInt()));
-    case TypeId::kDouble: {
-      double d = v.AsDouble();
-      // Integral doubles hash like their int64 counterpart.
-      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
-        return HashMix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(d));
-      return HashMix64(bits);
-    }
+    case TypeId::kDouble:
+      return HashDouble(v.AsDouble());
     case TypeId::kString: {
       const std::string& s = v.AsString();
       return HashBytes(s.data(), s.size());
@@ -42,7 +32,7 @@ uint64_t HashValue(const Value& v) {
 }
 
 double HashUnit(const Value& v) {
-  return static_cast<double>(HashValue(v) >> 11) * 0x1.0p-53;
+  return UnitFromHash(HashValue(v));
 }
 
 namespace {

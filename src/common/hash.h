@@ -8,7 +8,9 @@
 #ifndef VDB_COMMON_HASH_H_
 #define VDB_COMMON_HASH_H_
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/value.h"
@@ -26,6 +28,26 @@ inline uint64_t HashMix64(uint64_t x) {
   x *= 0xC4CEB9FE1A85EC53ull;
   x ^= x >> 33;
   return x;
+}
+
+/// HashValue's Double rule (inline: the kernel layer's verdict_hash lanes
+/// share it): integral doubles hash like their int64 counterpart, so 3.0 and
+/// 3 land in the same universe-sample bucket; every other value (fractions,
+/// NaN, +-inf, |d| >= 9.2e18) hashes its bit pattern.
+inline uint64_t HashDouble(double d) {
+  if (d == std::floor(d) && std::abs(d) < 9.2e18) {
+    return HashMix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(d));
+  return HashMix64(bits);
+}
+
+/// HashUnit's map of a 64-bit hash into [0, 1): the top 53 bits, scaled
+/// exactly.
+inline double UnitFromHash(uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 /// FNV-1a over bytes, then mixed.

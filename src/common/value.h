@@ -7,9 +7,23 @@
 #define VDB_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace vdb {
+
+/// Truncating double -> int64 conversion, defined for every input: NaN,
+/// +-inf and values outside [-2^63, 2^63) map to INT64_MIN, the value x86's
+/// cvttsd2si returns for them. Every double -> integer coercion in the
+/// engine (Value::AsInt, floor/ceil, `%` over doubles, the kernel lanes)
+/// routes through here, so none of them is undefined behavior and every
+/// evaluation path agrees on the out-of-range answer.
+inline int64_t DoubleToInt64(double d) {
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+    return static_cast<int64_t>(d);
+  }
+  return std::numeric_limits<int64_t>::min();
+}
 
 /// Runtime type of a Value or a Column.
 enum class TypeId : uint8_t {
@@ -22,6 +36,14 @@ enum class TypeId : uint8_t {
 
 /// Returns "NULL", "BOOLEAN", "BIGINT", "DOUBLE" or "VARCHAR".
 const char* TypeName(TypeId t);
+
+/// Int64 remainder with the sign of the dividend, total: x % -1 == 0 (C++
+/// leaves INT64_MIN % -1 undefined and x86 traps on it) and x % 0 == 0 (SQL
+/// callers make a zero-divisor row NULL before using the value). The row
+/// interpreter's `%`, mod() and the kernel layer's `%` lanes all use it.
+inline int64_t Int64Mod(int64_t a, int64_t b) {
+  return (b == 0 || b == -1) ? 0 : a % b;
+}
 
 /// A nullable scalar. Numeric types promote Int64 -> Double in arithmetic.
 class Value {
@@ -58,7 +80,9 @@ class Value {
   bool is_null() const { return type_ == TypeId::kNull; }
 
   bool AsBool() const { return i_ != 0; }
-  int64_t AsInt() const { return type_ == TypeId::kDouble ? static_cast<int64_t>(d_) : i_; }
+  int64_t AsInt() const {
+    return type_ == TypeId::kDouble ? DoubleToInt64(d_) : i_;
+  }
   /// Numeric coercion: Int64/Bool widen to double; NULL is 0.0.
   double AsDouble() const {
     if (type_ == TypeId::kDouble) return d_;

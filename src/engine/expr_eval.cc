@@ -59,11 +59,14 @@ Result<Value> ApplyBinaryOp(BinaryOp op, const Value& l, const Value& r) {
     case BinaryOp::kMul: {
       bool ints = l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64;
       if (ints) {
-        int64_t a = l.AsInt(), b = r.AsInt();
+        // uint64 arithmetic: wraps mod 2^64 like the batch kernels
+        // (kernels::ArithOp) instead of overflowing int64.
+        const uint64_t a = static_cast<uint64_t>(l.AsInt());
+        const uint64_t b = static_cast<uint64_t>(r.AsInt());
         switch (op) {
-          case BinaryOp::kAdd: return Value::Int(a + b);
-          case BinaryOp::kSub: return Value::Int(a - b);
-          default: return Value::Int(a * b);
+          case BinaryOp::kAdd: return Value::Int(static_cast<int64_t>(a + b));
+          case BinaryOp::kSub: return Value::Int(static_cast<int64_t>(a - b));
+          default: return Value::Int(static_cast<int64_t>(a * b));
         }
       }
       double a = l.AsDouble(), b = r.AsDouble();
@@ -81,7 +84,7 @@ Result<Value> ApplyBinaryOp(BinaryOp op, const Value& l, const Value& r) {
     case BinaryOp::kMod: {
       int64_t b = r.AsInt();
       if (b == 0) return Value::Null();
-      return Value::Int(l.AsInt() % b);
+      return Value::Int(Int64Mod(l.AsInt(), b));
     }
     case BinaryOp::kEq: return Value::Bool(l.Compare(r) == 0);
     case BinaryOp::kNe: return Value::Bool(l.Compare(r) != 0);

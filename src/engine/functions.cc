@@ -101,11 +101,11 @@ Result<Value> CallScalarFunction(const std::string& name,
 
   if (name == "floor") {
     VDB_RETURN_IF_ERROR(Arity(name, args, 1, 1));
-    return Value::Int(static_cast<int64_t>(std::floor(args[0].AsDouble())));
+    return Value::Int(DoubleToInt64(std::floor(args[0].AsDouble())));
   }
   if (name == "ceil" || name == "ceiling") {
     VDB_RETURN_IF_ERROR(Arity(name, args, 1, 1));
-    return Value::Int(static_cast<int64_t>(std::ceil(args[0].AsDouble())));
+    return Value::Int(DoubleToInt64(std::ceil(args[0].AsDouble())));
   }
   if (name == "abs") {
     VDB_RETURN_IF_ERROR(Arity(name, args, 1, 1));
@@ -138,7 +138,7 @@ Result<Value> CallScalarFunction(const std::string& name,
     VDB_RETURN_IF_ERROR(Arity(name, args, 2, 2));
     int64_t d = args[1].AsInt();
     if (d == 0) return Value::Null();
-    return Value::Int(args[0].AsInt() % d);
+    return Value::Int(Int64Mod(args[0].AsInt(), d));
   }
   if (name == "round") {
     VDB_RETURN_IF_ERROR(Arity(name, args, 1, 2));

@@ -82,6 +82,13 @@ const KernelOps kScalarOps = {
     ArithF64VV,
     ArithF64VC,
     ArithF64CV,
+    scalar::RoundF64I64,
+    scalar::DivF64VV,
+    scalar::DivF64VC,
+    scalar::DivF64CV,
+    scalar::HashUnitI64,
+    scalar::HashUnitF64,
+    scalar::SidFromUnitLoop,
     scalar::BytesNonzeroBits,
     scalar::RandF64Seq,
     scalar::HashMixI64,

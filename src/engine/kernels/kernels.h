@@ -2,9 +2,11 @@
 //
 // One dispatch table (KernelOps) of data-parallel primitives behind the
 // engine's hot loops: Int64/Double comparison lanes emitting row bitmaps,
-// Int64/Double arithmetic lanes, NULL byte-mask -> bitmap conversion, the
-// row-addressed CounterRandom draw over sequential row ids, the multi-column
-// join/group key hash mix, and the join Bloom pre-probe. The scalar
+// Int64/Double arithmetic lanes, the typed numeric lanes behind
+// floor/ceil, `/` and verdict_hash, the fused subsample-id
+// lane, NULL byte-mask -> bitmap conversion, the row-addressed CounterRandom
+// draw over sequential row ids, the multi-column join/group key hash mix,
+// and the join Bloom pre-probe. The scalar
 // implementations are ALWAYS built and are the semantic reference; an AVX2
 // table is compiled only when the toolchain supports -mavx2 (CMake gates the
 // one file) and is selected at startup iff the CPU reports AVX2.
@@ -29,6 +31,8 @@
 //    kEq(NaN, x) is TRUE — matching Value::Compare / ThreeWayD.
 //  - Int64 add/sub/mul wrap mod 2^64 (computed in uint64_t; two's-complement
 //    wrap, the same thing AVX2's paddq/psubq/pmullq-emulation does).
+//  - Double -> Int64 lanes convert through DoubleToInt64 (common/value.h):
+//    NaN, +-inf and |x| >= 2^63 become INT64_MIN at every level.
 //  - Output bitmaps are written wholesale: every word of the destination is
 //    stored, and tail bits beyond n are zero.
 
@@ -74,6 +78,9 @@ inline CmpOp MirrorCmp(CmpOp op) {
 
 enum class ArithOp : int { kAdd = 0, kSub, kMul };
 
+/// Rounding direction of the double -> Int64 lane behind floor()/ceil().
+enum class RoundOp : int { kFloor = 0, kCeil };
+
 /// The dispatch table. `bits` outputs are row bitmaps (bitmap.h layout:
 /// little-endian bit per row, zeroed tail), sized Bitmap::WordsFor(n) words.
 /// All pointers may be unaligned; vector/vector operands must not overlap
@@ -104,6 +111,32 @@ struct KernelOps {
                        double* out);
   void (*arith_f64_cv)(ArithOp op, double c, const double* b, size_t n,
                        double* out);
+
+  // floor/ceil, every element computed: out[k] =
+  // DoubleToInt64(floor|ceil(x[k])) (common/value.h: NaN, +-inf and
+  // out-of-range map to INT64_MIN).
+  void (*round_f64_i64)(RoundOp op, const double* x, size_t n, int64_t* out);
+
+  // Double division, computed for every row: a zero divisor yields the IEEE
+  // inf/NaN and the caller marks those rows NULL. The vector-divisor forms
+  // return whether any b[k] == 0.0 (IEEE ==, so -0.0 too), so NULL-free
+  // batches never build a mask.
+  bool (*div_f64_vv)(const double* a, const double* b, size_t n, double* out);
+  void (*div_f64_vc)(const double* a, double c, size_t n, double* out);
+  bool (*div_f64_cv)(double c, const double* b, size_t n, double* out);
+
+  // verdict_hash()/unit_hash() lanes: out[k] = HashUnit(x[k]) for Int64
+  // (and Bool) storage and Double storage (integral doubles hash like their
+  // int64 value).
+  void (*hash_unit_i64)(const int64_t* x, size_t n, double* out);
+  void (*hash_unit_f64)(const double* x, size_t n, double* out);
+
+  // The fused subsample-id lane of the variational rewrite's
+  // `base + floor(u * c)`: out[k] = base + DoubleToInt64(floor(u[k] * c)),
+  // the add wrapping mod 2^64 — the same double product, floor and Int64 add
+  // the unfused arith_f64_vc / round_f64_i64 / arith_i64_cv chain performs.
+  void (*sid_from_unit)(const double* u, double c, int64_t base, size_t n,
+                        int64_t* out);
 
   // Bit k of `bits` = (bytes[k] != 0): NULL byte-mask -> bitmap conversion.
   void (*bytes_nonzero_bits)(const uint8_t* bytes, size_t n, uint64_t* bits);

@@ -13,6 +13,10 @@
 //    scalar reference.
 //  - Int64 add/sub/mul are paddq/psubq/32x32-mul emulation — two's-complement
 //    wrap, matching the scalar uint64 arithmetic.
+//  - Double -> Int64 lanes (floor/ceil, the fused sid, integral-double
+//    hashing) convert exactly with the 1.5 * 2^52 bias trick below 2^51 and
+//    hand any 4-lane group holding a larger, infinite or NaN value to the
+//    scalar DoubleToInt64 rule.
 //  - The rand lane dispatches the scalar CounterRandom loop even from this
 //    table: six dependent 64x64 multiplies per draw emulate poorly on AVX2
 //    and the vector version measured slower (see the "rand lane" section).
@@ -332,6 +336,168 @@ void ArithF64CV(ArithOp op, double c, const double* b, size_t n, double* out) {
       [&](size_t) { return c; }, [&](size_t k) { return b[k]; });
 }
 
+// ---- unary numeric lanes ----------------------------------------------------
+
+/// Lane mask of |r| < 2^51 (false for NaN).
+inline __m256d SmallMagnitude(__m256d r) {
+  const __m256d abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), r);
+  return _mm256_cmp_pd(abs, _mm256_set1_pd(2251799813685248.0),  // 2^51
+                       _CMP_LT_OQ);
+}
+
+/// Exact integral double -> int64 for |r| < 2^51 (AVX2 has no cvtpd2qq):
+/// adding 1.5 * 2^52 lands r in the [2^52, 2^53) binade, whose mantissa
+/// bits are the integer itself, so subtracting the bias's bit pattern
+/// leaves r in two's complement.
+inline __m256i SmallIntegralToI64(__m256d r) {
+  const __m256d bias = _mm256_set1_pd(6755399441055744.0);  // 1.5 * 2^52
+  return _mm256_sub_epi64(_mm256_castpd_si256(_mm256_add_pd(r, bias)),
+                          _mm256_castpd_si256(bias));
+}
+
+/// DoubleToInt64 of four already-integral lanes: the bias conversion when
+/// every lane is small (the common case), the scalar rule otherwise — so
+/// NaN, +-inf and |r| >= 2^51 are LITERALLY the reference code.
+inline void StoreIntegralI64(__m256d r, int64_t* out) {
+  if (_mm256_movemask_pd(SmallMagnitude(r)) == 0xF) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        SmallIntegralToI64(r));
+    return;
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, r);
+  for (size_t j = 0; j < 4; ++j) out[j] = DoubleToInt64(lanes[j]);
+}
+
+template <int kRoundMode>
+inline void RoundDrive(const double* x, size_t n, int64_t* out) {
+  for (size_t i = 0; i < n; i += 4) {
+    StoreIntegralI64(
+        _mm256_round_pd(_mm256_loadu_pd(x + i),
+                        kRoundMode | _MM_FROUND_NO_EXC),
+        out + i);
+  }
+}
+
+void RoundF64I64(RoundOp op, const double* x, size_t n, int64_t* out) {
+  const size_t nfull = n & ~size_t{3};
+  if (op == RoundOp::kFloor) {
+    RoundDrive<_MM_FROUND_TO_NEG_INF>(x, nfull, out);
+  } else {
+    RoundDrive<_MM_FROUND_TO_POS_INF>(x, nfull, out);
+  }
+  if (n > nfull) {
+    scalar::RoundF64I64(op, x + nfull, n - nfull, out + nfull);
+  }
+}
+
+// ---- division lanes ---------------------------------------------------------
+
+/// Divides four lanes and ORs their "divisor == 0.0" mask into `zero`.
+inline __m256d DivTrackZero(__m256d x, __m256d y, __m256d* zero) {
+  *zero = _mm256_or_pd(
+      *zero, _mm256_cmp_pd(y, _mm256_setzero_pd(), _CMP_EQ_OQ));
+  return _mm256_div_pd(x, y);
+}
+
+bool DivF64VV(const double* a, const double* b, size_t n, double* out) {
+  const size_t nfull = n & ~size_t{3};
+  __m256d zero = _mm256_setzero_pd();
+  for (size_t i = 0; i < nfull; i += 4) {
+    _mm256_storeu_pd(out + i, DivTrackZero(_mm256_loadu_pd(a + i),
+                                           _mm256_loadu_pd(b + i), &zero));
+  }
+  bool any = _mm256_movemask_pd(zero) != 0;
+  if (n > nfull) {
+    any |= scalar::DivF64VV(a + nfull, b + nfull, n - nfull, out + nfull);
+  }
+  return any;
+}
+void DivF64VC(const double* a, double c, size_t n, double* out) {
+  const size_t nfull = n & ~size_t{3};
+  const __m256d cv = _mm256_set1_pd(c);
+  for (size_t i = 0; i < nfull; i += 4) {
+    _mm256_storeu_pd(out + i, _mm256_div_pd(_mm256_loadu_pd(a + i), cv));
+  }
+  if (n > nfull) scalar::DivF64VC(a + nfull, c, n - nfull, out + nfull);
+}
+bool DivF64CV(double c, const double* b, size_t n, double* out) {
+  const size_t nfull = n & ~size_t{3};
+  const __m256d cv = _mm256_set1_pd(c);
+  __m256d zero = _mm256_setzero_pd();
+  for (size_t i = 0; i < nfull; i += 4) {
+    _mm256_storeu_pd(out + i,
+                     DivTrackZero(cv, _mm256_loadu_pd(b + i), &zero));
+  }
+  bool any = _mm256_movemask_pd(zero) != 0;
+  if (n > nfull) {
+    any |= scalar::DivF64CV(c, b + nfull, n - nfull, out + nfull);
+  }
+  return any;
+}
+
+// ---- verdict_hash lanes -----------------------------------------------------
+
+/// UnitFromHash (common/hash.h), 4 lanes: h >> 11 is below 2^53, so the
+/// magic-split conversion is exact and the scale by 2^-53 is too.
+inline __m256d UnitFromHashV(__m256i h) {
+  return _mm256_mul_pd(U64ToF64(_mm256_srli_epi64(h, 11)),
+                       _mm256_set1_pd(0x1.0p-53));
+}
+
+void HashUnitI64(const int64_t* x, size_t n, double* out) {
+  const size_t nfull = n & ~size_t{3};
+  for (size_t i = 0; i < nfull; i += 4) {
+    _mm256_storeu_pd(out + i, UnitFromHashV(HashMix64V(Load4I64(x + i))));
+  }
+  if (n > nfull) scalar::HashUnitI64(x + nfull, n - nfull, out + nfull);
+}
+
+void HashUnitF64(const double* x, size_t n, double* out) {
+  const size_t nfull = n & ~size_t{3};
+  for (size_t i = 0; i < nfull; i += 4) {
+    const __m256d d = _mm256_loadu_pd(x + i);
+    // HashDouble: integral doubles hash as their int64 value, everything
+    // else (fractions, NaN — never equal to its floor) as its bits.
+    const __m256d integral = _mm256_cmp_pd(
+        d, _mm256_round_pd(d, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC),
+        _CMP_EQ_OQ);
+    if (_mm256_movemask_pd(_mm256_andnot_pd(SmallMagnitude(d), integral)) !=
+        0) {
+      // An integral lane at or above 2^51 (or +-inf): the scalar rule.
+      scalar::HashUnitF64(x + i, 4, out + i);
+      continue;
+    }
+    const __m256i key = _mm256_castpd_si256(_mm256_blendv_pd(
+        d, _mm256_castsi256_pd(SmallIntegralToI64(d)), integral));
+    _mm256_storeu_pd(out + i, UnitFromHashV(HashMix64V(key)));
+  }
+  if (n > nfull) scalar::HashUnitF64(x + nfull, n - nfull, out + nfull);
+}
+
+// ---- fused subsample-id lane -----------------------------------------------
+
+void SidFromUnit(const double* u, double c, int64_t base, size_t n,
+                 int64_t* out) {
+  const size_t nfull = n & ~size_t{3};
+  const __m256d cv = _mm256_set1_pd(c);
+  const __m256i bv = _mm256_set1_epi64x(static_cast<long long>(base));
+  for (size_t i = 0; i < nfull; i += 4) {
+    const __m256d r =
+        _mm256_round_pd(_mm256_mul_pd(_mm256_loadu_pd(u + i), cv),
+                        _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    if (_mm256_movemask_pd(SmallMagnitude(r)) == 0xF) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                          _mm256_add_epi64(SmallIntegralToI64(r), bv));
+    } else {
+      scalar::SidFromUnitLoop(u + i, c, base, 4, out + i);
+    }
+  }
+  if (n > nfull) {
+    scalar::SidFromUnitLoop(u + nfull, c, base, n - nfull, out + nfull);
+  }
+}
+
 // ---- mask conversion --------------------------------------------------------
 
 void BytesNonzeroBits(const uint8_t* bytes, size_t n, uint64_t* bits) {
@@ -494,6 +660,13 @@ const KernelOps kAvx2Ops = {
     ArithF64VV,
     ArithF64VC,
     ArithF64CV,
+    RoundF64I64,
+    DivF64VV,
+    DivF64VC,
+    DivF64CV,
+    HashUnitI64,
+    HashUnitF64,
+    SidFromUnit,
     BytesNonzeroBits,
     scalar::RandF64Seq,  // see "rand lane" above: scalar wins on AVX2
     HashMixI64,

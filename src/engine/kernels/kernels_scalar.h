@@ -112,6 +112,57 @@ inline void ArithLoop(ArithOp op, GetA ga, GetB gb, size_t n, T* out) {
   }
 }
 
+inline void RoundF64I64(RoundOp op, const double* x, size_t n, int64_t* out) {
+  if (op == RoundOp::kFloor) {
+    for (size_t k = 0; k < n; ++k) out[k] = DoubleToInt64(std::floor(x[k]));
+  } else {
+    for (size_t k = 0; k < n; ++k) out[k] = DoubleToInt64(std::ceil(x[k]));
+  }
+}
+
+inline bool DivF64VV(const double* a, const double* b, size_t n,
+                     double* out) {
+  bool zero = false;
+  for (size_t k = 0; k < n; ++k) {
+    out[k] = a[k] / b[k];
+    zero |= b[k] == 0.0;
+  }
+  return zero;
+}
+inline void DivF64VC(const double* a, double c, size_t n, double* out) {
+  for (size_t k = 0; k < n; ++k) out[k] = a[k] / c;
+}
+inline bool DivF64CV(double c, const double* b, size_t n, double* out) {
+  bool zero = false;
+  for (size_t k = 0; k < n; ++k) {
+    out[k] = c / b[k];
+    zero |= b[k] == 0.0;
+  }
+  return zero;
+}
+
+inline void HashUnitI64(const int64_t* x, size_t n, double* out) {
+  for (size_t k = 0; k < n; ++k) {
+    out[k] = UnitFromHash(HashMix64(static_cast<uint64_t>(x[k])));
+  }
+}
+
+inline void HashUnitF64(const double* x, size_t n, double* out) {
+  for (size_t k = 0; k < n; ++k) out[k] = UnitFromHash(HashDouble(x[k]));
+}
+
+/// One fused subsample id: base + floor(u * c), the add wrapping mod 2^64.
+inline int64_t SidFromUnit(double u, double c, int64_t base) {
+  return static_cast<int64_t>(static_cast<uint64_t>(base) +
+                              static_cast<uint64_t>(
+                                  DoubleToInt64(std::floor(u * c))));
+}
+
+inline void SidFromUnitLoop(const double* u, double c, int64_t base, size_t n,
+                            int64_t* out) {
+  for (size_t k = 0; k < n; ++k) out[k] = SidFromUnit(u[k], c, base);
+}
+
 inline void BytesNonzeroBits(const uint8_t* bytes, size_t n, uint64_t* bits) {
   const size_t words = (n + 63) / 64;
   for (size_t w = 0; w < words; ++w) {

@@ -1,7 +1,6 @@
 #include "engine/vector_eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/hash.h"
@@ -18,19 +17,6 @@ using sql::ExprKind;
 using sql::UnaryOp;
 
 namespace {
-
-/// Test/bench baseline switch (SetSerialRandBaselineForTest): reproduces the
-/// pre-row-addressed executor, where rand-family expressions had no batch
-/// kernel and pinned their queries serial.
-// Test hook: atomic (relaxed) — tests write between queries while pool
-// workers may still read; see docs/INVARIANTS.md (test-hook contract).
-std::atomic<bool> g_serial_rand_baseline{false};
-
-/// True when the baseline hook demands the old serial pinning for `e`.
-bool PinnedSerialForBaseline(const Expr& e) {
-  return g_serial_rand_baseline.load(std::memory_order_relaxed) &&
-         sql::ContainsRandFunction(e);
-}
 
 using kernels::Bitmap;
 
@@ -160,17 +146,6 @@ struct Vec {
     return mixed ? boxed[pos(k)].AsDouble() : col().GetNumeric(pos(k));
   }
   int64_t IntRaw(size_t k) const { return col().GetInt(pos(k)); }
-  /// Value::AsInt semantics over the raw storage (doubles truncate).
-  int64_t AsIntAt(size_t k) const {
-    if (mixed) return boxed[pos(k)].AsInt();
-    const Column& c = col();
-    switch (c.type()) {
-      case TypeId::kBool:
-      case TypeId::kInt64: return c.GetInt(pos(k));
-      case TypeId::kDouble: return static_cast<int64_t>(c.GetDouble(pos(k)));
-      default: return 0;
-    }
-  }
 };
 
 /// Builds a one-row column holding `v` with its exact type (Column::Append
@@ -342,6 +317,228 @@ IntView ResolveInt(const Vec& v) {
   const uint8_t* nulls = v.col().NullData();
   o.nulls = nulls == nullptr ? nullptr : nulls + v.offset;
   return o;
+}
+
+Vec OwnedVec(Column c) {
+  Vec v;
+  v.owned = std::move(c);
+  return v;
+}
+
+/// ORs a lane's NULL bytes (nullptr: none) into a result mask.
+void OrNulls(std::vector<uint8_t>* nulls, const uint8_t* src) {
+  if (src == nullptr) return;
+  for (size_t k = 0; k < nulls->size(); ++k) {
+    (*nulls)[k] = static_cast<uint8_t>((*nulls)[k] | (src[k] != 0 ? 1 : 0));
+  }
+}
+
+/// Drops a result mask with no NULL row (storage included), so NULL-free
+/// results keep the NULL-free column fast paths (Column::NullData() ==
+/// nullptr).
+std::vector<uint8_t> NullsOrEmpty(std::vector<uint8_t> nulls) {
+  if (std::find(nulls.begin(), nulls.end(), uint8_t{1}) == nulls.end()) {
+    return {};
+  }
+  return nulls;
+}
+
+/// The per-row NULL mask of any vector, empty when no row is NULL.
+std::vector<uint8_t> RowNulls(const Vec& v, size_t n) {
+  if (!v.is_const && !v.mixed && v.type() != TypeId::kNull &&
+      v.col().NullData() == nullptr) {
+    return {};
+  }
+  std::vector<uint8_t> nulls(n, 0);
+  if (v.is_const || v.mixed || v.type() == TypeId::kNull) {
+    for (size_t k = 0; k < n; ++k) nulls[k] = v.IsNull(k) ? 1 : 0;
+  } else {
+    const uint8_t* src = v.col().NullData();
+    OrNulls(&nulls, src == nullptr ? nullptr : src + v.offset);
+  }
+  return NullsOrEmpty(std::move(nulls));
+}
+
+/// floor/ceil/abs/sqrt over a typed numeric vector; a constant operand
+/// folds to a constant. floor/ceil run on the kernel layer's round lane;
+/// abs/sqrt are plain loops. Int64 abs keeps the integer lane
+/// (CallScalarFunction's Value::Int result); Bool takes the double lane
+/// there, so it does here too.
+Vec UnaryMathVec(const std::string& name, const Vec& a, size_t n) {
+  if (a.type() == TypeId::kNull) return ConstVec(Value::Null());
+  if (name == "abs" && a.type() == TypeId::kInt64) {
+    // Wrap-defined abs: abs(INT64_MIN) == INT64_MIN (see
+    // CallScalarFunction).
+    auto abs_wrap = [](int64_t x) {
+      return x < 0 ? static_cast<int64_t>(0ull - static_cast<uint64_t>(x))
+                   : x;
+    };
+    const IntView x = ResolveInt(a);
+    if (x.is_const) return ConstVec(Value::Int(abs_wrap(x.cval)));
+    std::vector<int64_t> out(n);
+    for (size_t k = 0; k < n; ++k) out[k] = abs_wrap(x.data[k]);
+    return OwnedVec(Column::FromData(TypeId::kInt64, std::move(out), {}, {},
+                                     RowNulls(a, n)));
+  }
+  const NumView x = ResolveNum(a, n);
+  const size_t m = x.is_const ? 1 : n;
+  const double* in = x.is_const ? &x.cval : x.data;
+  if (name == "abs" || name == "sqrt") {
+    std::vector<double> out(m);
+    if (name == "abs") {
+      for (size_t k = 0; k < m; ++k) out[k] = std::abs(in[k]);
+    } else {
+      for (size_t k = 0; k < m; ++k) out[k] = std::sqrt(in[k]);
+    }
+    if (x.is_const) return ConstVec(Value::Double(out[0]));
+    return OwnedVec(Column::FromData(TypeId::kDouble, {}, std::move(out), {},
+                                     RowNulls(a, n)));
+  }
+  // floor/ceil return Int64, like the row interpreter.
+  std::vector<int64_t> out(m);
+  kernels::Ops().round_f64_i64(name == "floor" ? kernels::RoundOp::kFloor
+                                               : kernels::RoundOp::kCeil,
+                               in, m, out.data());
+  if (x.is_const) return ConstVec(Value::Int(out[0]));
+  return OwnedVec(Column::FromData(TypeId::kInt64, std::move(out), {}, {},
+                                   RowNulls(a, n)));
+}
+
+/// Restores the zero placeholder in the NULL slots of a lane that computed
+/// every row (a zero divisor's inf/NaN, the hash of a NULL's placeholder).
+template <typename T>
+void ZeroNullSlots(const std::vector<uint8_t>& nulls, std::vector<T>* out) {
+  for (size_t k = 0; k < nulls.size(); ++k) {
+    if (nulls[k] != 0) (*out)[k] = T{0};
+  }
+}
+
+/// The NULL mask of `/` and `%`: rows with a NULL operand or a zero
+/// divisor (`divisor` null: the constant divisor is zero everywhere when
+/// `zero_divisor`). Built only when some row can be NULL.
+template <typename T>
+std::vector<uint8_t> QuotientNulls(bool zero_divisor, const T* divisor,
+                                   const uint8_t* an, const uint8_t* cn,
+                                   size_t n) {
+  if (!zero_divisor && an == nullptr && cn == nullptr) return {};
+  std::vector<uint8_t> nulls(n, 0);
+  if (zero_divisor) {
+    for (size_t k = 0; k < n; ++k) {
+      nulls[k] = (divisor == nullptr || divisor[k] == T{0}) ? 1 : 0;
+    }
+  }
+  OrNulls(&nulls, an);
+  OrNulls(&nulls, cn);
+  return NullsOrEmpty(std::move(nulls));
+}
+
+/// `/` over numeric vectors: the kernel computes every quotient, then rows
+/// with a NULL operand or a zero divisor (IEEE ==: -0.0 too, NaN not) are
+/// marked NULL, the row interpreter's rule.
+Vec DivVec(const Vec& l, const Vec& r, size_t n) {
+  const NumView a = ResolveNum(l, n), c = ResolveNum(r, n);
+  const kernels::KernelOps& ops = kernels::Ops();
+  std::vector<double> out(n, 0.0);
+  bool zero_divisor = c.is_const && c.cval == 0.0;
+  if (!a.is_const && !c.is_const) {
+    zero_divisor = ops.div_f64_vv(a.data, c.data, n, out.data());
+  } else if (!a.is_const) {
+    ops.div_f64_vc(a.data, c.cval, n, out.data());
+  } else if (!c.is_const) {
+    zero_divisor = ops.div_f64_cv(a.cval, c.data, n, out.data());
+  } else if (n > 0) {
+    double q = 0.0;
+    ops.div_f64_vc(&a.cval, c.cval, 1, &q);
+    std::fill(out.begin(), out.end(), q);
+  }
+  std::vector<uint8_t> nulls = QuotientNulls(
+      zero_divisor, c.is_const ? nullptr : c.data, a.nulls, c.nulls, n);
+  ZeroNullSlots(nulls, &out);
+  return OwnedVec(Column::FromData(TypeId::kDouble, {}, std::move(out), {},
+                                   std::move(nulls)));
+}
+
+/// An operand of `%` as an Int64 lane with Value::AsInt semantics: Int64
+/// and Bool storage as-is, doubles truncated through DoubleToInt64, strings
+/// read 0.
+struct AsIntLane {
+  const int64_t* data = nullptr;
+  std::vector<int64_t> storage;
+  int64_t cval = 0;
+  const uint8_t* nulls = nullptr;
+  bool is_const = false;
+};
+
+AsIntLane ResolveAsInt(const Vec& v, size_t n) {
+  AsIntLane o;
+  if (v.is_const) {
+    o.is_const = true;
+    o.cval = v.At(0).AsInt();
+    return o;
+  }
+  const Column& c = v.col();
+  const uint8_t* nulls = c.NullData();
+  o.nulls = nulls == nullptr ? nullptr : nulls + v.offset;
+  if (c.type() == TypeId::kInt64 || c.type() == TypeId::kBool) {
+    o.data = c.IntData() + v.offset;
+    return o;
+  }
+  o.storage.assign(n, 0);
+  if (c.type() == TypeId::kDouble) {
+    const double* p = c.DoubleData() + v.offset;
+    for (size_t k = 0; k < n; ++k) o.storage[k] = DoubleToInt64(p[k]);
+  }
+  o.data = o.storage.data();
+  return o;
+}
+
+/// `%` over non-NULL-typed vectors: Int64Mod per row (x % -1 == 0), NULL
+/// where an operand is NULL or the divisor is 0.
+Vec ModVec(const Vec& l, const Vec& r, size_t n) {
+  const AsIntLane a = ResolveAsInt(l, n), c = ResolveAsInt(r, n);
+  auto at = [](const AsIntLane& x, size_t k) {
+    return x.is_const ? x.cval : x.data[k];
+  };
+  std::vector<int64_t> out(n);
+  bool zero_divisor = false;
+  for (size_t k = 0; k < n; ++k) {
+    const int64_t d = at(c, k);
+    out[k] = Int64Mod(at(a, k), d);
+    zero_divisor |= d == 0;
+  }
+  return OwnedVec(Column::FromData(
+      TypeId::kInt64, std::move(out), {}, {},
+      QuotientNulls(zero_divisor, c.is_const ? nullptr : c.data, a.nulls,
+                    c.nulls, n)));
+}
+
+/// HashUnit of rows [begin, begin + m) of a non-constant vector through the
+/// kernel layer's verdict_hash lanes. NULL rows get placeholders the caller
+/// masks.
+void HashUnitsInto(const Vec& a, size_t begin, size_t m, double* out) {
+  if (a.mixed) {
+    for (size_t j = 0; j < m; ++j) {
+      out[j] = a.IsNull(begin + j) ? 0.0 : HashUnit(a.At(begin + j));
+    }
+    return;
+  }
+  const kernels::KernelOps& ops = kernels::Ops();
+  const Column& c = a.col();
+  const size_t at = a.offset + begin;
+  switch (c.type()) {
+    case TypeId::kBool:
+    case TypeId::kInt64: ops.hash_unit_i64(c.IntData() + at, m, out); return;
+    case TypeId::kDouble:
+      ops.hash_unit_f64(c.DoubleData() + at, m, out);
+      return;
+    case TypeId::kString:
+      for (size_t j = 0; j < m; ++j) {
+        const std::string& x = c.GetString(at + j);
+        out[j] = UnitFromHash(HashBytes(x.data(), x.size()));
+      }
+      return;
+    case TypeId::kNull: std::fill(out, out + m, 0.0); return;
+  }
 }
 
 // Each compare is phrased under the engine's three-way convention — built
@@ -652,6 +849,110 @@ Result<Vec> ColumnRefVec(const Expr& e, const Batch& b) {
   return v;
 }
 
+/// The variational rewrite's subsample-id expression `base + floor(u * c)`
+/// (core/rewriter.cc): u is rand() for uniform samples or verdict_hash(x)
+/// for universe samples, base an Int64 literal, c an Int64 or Double
+/// literal, in either operand order of + and *.
+struct SidShape {
+  const Expr* unit = nullptr;  // the rand() or verdict_hash(x) call
+  bool is_rand = false;
+  int64_t base = 0;
+  double scale = 0.0;
+};
+
+bool IsLiteralOf(const Expr& e, TypeId t) {
+  return e.kind == ExprKind::kLiteral && e.literal.type() == t;
+}
+
+bool IsCall(const Expr& e, const char* name, size_t arity) {
+  return e.kind == ExprKind::kFunction && !e.is_window && e.name == name &&
+         e.args.size() == arity;
+}
+
+bool MatchSid(const Expr& e, SidShape* s) {
+  if (e.kind != ExprKind::kBinary || e.binary_op != BinaryOp::kAdd) {
+    return false;
+  }
+  const Expr* base = e.args[0].get();
+  const Expr* fl = e.args[1].get();
+  if (!IsLiteralOf(*base, TypeId::kInt64)) std::swap(base, fl);
+  if (!IsLiteralOf(*base, TypeId::kInt64) || !IsCall(*fl, "floor", 1)) {
+    return false;
+  }
+  const Expr& prod = *fl->args[0];
+  if (prod.kind != ExprKind::kBinary || prod.binary_op != BinaryOp::kMul) {
+    return false;
+  }
+  auto numeric_literal = [](const Expr& x) {
+    return IsLiteralOf(x, TypeId::kInt64) || IsLiteralOf(x, TypeId::kDouble);
+  };
+  const Expr* unit = prod.args[0].get();
+  const Expr* scale = prod.args[1].get();
+  if (!numeric_literal(*scale)) std::swap(unit, scale);
+  if (!numeric_literal(*scale)) return false;
+  s->is_rand = IsCall(*unit, "rand", 0) || IsCall(*unit, "random", 0);
+  if (!s->is_rand && !IsCall(*unit, "verdict_hash", 1) &&
+      !IsCall(*unit, "unit_hash", 1)) {
+    return false;
+  }
+  s->unit = unit;
+  s->base = base->literal.AsInt();
+  s->scale = scale->literal.AsDouble();
+  return true;
+}
+
+/// Fused subsample ids: one pass over the batch in L1-sized blocks, each
+/// drawing (rand) or hashing (verdict_hash) its units straight into a stack
+/// buffer that the sid kernel turns into Int64 ids — no intermediate
+/// columns, no NULL-mask merges. Every id is computed exactly as the
+/// unfused nodes compute it (the same row-addressed draw or HashUnit, the
+/// same double product, the same floor, the same wrapping add), so the
+/// result is bit-identical to evaluating the tree node by node.
+Result<Vec> EvalSid(const SidShape& s, const Batch& b) {
+  constexpr size_t kBlock = 256;
+  const size_t n = b.size();
+  const kernels::KernelOps& ops = kernels::Ops();
+  std::vector<int64_t> out(n);
+  double units[kBlock];
+  if (s.is_rand) {
+    const uint64_t site = static_cast<uint64_t>(s.unit->rand_site);
+    for (size_t begin = 0; begin < n; begin += kBlock) {
+      const size_t m = std::min(kBlock, n - begin);
+      if (b.sel == nullptr) {
+        ops.rand_f64_seq(b.rand_seed, b.row_id_offset + b.range_begin + begin,
+                         site, m, units);
+      } else {
+        for (size_t j = 0; j < m; ++j) {
+          units[j] =
+              CounterRandomDouble(b.rand_seed, b.RowIdAt(begin + j), site);
+        }
+      }
+      ops.sid_from_unit(units, s.scale, s.base, m, out.data() + begin);
+    }
+    return OwnedVec(
+        Column::FromData(TypeId::kInt64, std::move(out), {}, {}, {}));
+  }
+  auto av = EvalVec(*s.unit->args[0], b);
+  if (!av.ok()) return av.status();
+  const Vec& a = av.value();
+  if (a.is_const) {
+    const double u = a.IsNull(0) ? 0.0 : HashUnit(a.At(0));
+    int64_t sid = 0;
+    ops.sid_from_unit(&u, s.scale, s.base, 1, &sid);
+    std::fill(out.begin(), out.end(), sid);
+  } else {
+    for (size_t begin = 0; begin < n; begin += kBlock) {
+      const size_t m = std::min(kBlock, n - begin);
+      HashUnitsInto(a, begin, m, units);
+      ops.sid_from_unit(units, s.scale, s.base, m, out.data() + begin);
+    }
+  }
+  std::vector<uint8_t> nulls = RowNulls(a, n);
+  ZeroNullSlots(nulls, &out);
+  return OwnedVec(Column::FromData(TypeId::kInt64, std::move(out), {}, {},
+                                   std::move(nulls)));
+}
+
 Result<Vec> EvalArith(const Expr& e, const Batch& b) {
   auto lv = EvalVec(*e.args[0], b);
   if (!lv.ok()) return lv.status();
@@ -768,39 +1069,9 @@ Result<Vec> EvalArith(const Expr& e, const Batch& b) {
       return v;
     }
     case BinaryOp::kDiv: {
+      if (numeric) return DivVec(l, r, n);
+      // String operands read 0 through Num, like Value::AsDouble.
       std::vector<double> out(n, 0.0);
-      if (numeric) {
-        NumView a = ResolveNum(l, n), c = ResolveNum(r, n);
-        const uint8_t* an = a.nulls;
-        const uint8_t* cn = c.nulls;
-        auto run = [&](auto ga, auto gb) {
-          for (size_t k = 0; k < n; ++k) {
-            const double y = gb(k);
-            if ((an != nullptr && an[k] != 0) ||
-                (cn != nullptr && cn[k] != 0) || y == 0.0) {
-              set_null(k);
-            } else {
-              out[k] = ga(k) / y;
-            }
-          }
-        };
-        if (a.is_const && c.is_const) {
-          run([&](size_t) { return a.cval; }, [&](size_t) { return c.cval; });
-        } else if (a.is_const) {
-          run([&](size_t) { return a.cval; },
-              [&](size_t k) { return c.data[k]; });
-        } else if (c.is_const) {
-          run([&](size_t k) { return a.data[k]; },
-              [&](size_t) { return c.cval; });
-        } else {
-          run([&](size_t k) { return a.data[k]; },
-              [&](size_t k) { return c.data[k]; });
-        }
-        Vec v;
-        v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
-                                   std::move(nulls));
-        return v;
-      }
       for (size_t k = 0; k < n; ++k) {
         const double c = r.Num(k);
         if (l.IsNull(k) || r.IsNull(k) || c == 0.0) {
@@ -809,26 +1080,11 @@ Result<Vec> EvalArith(const Expr& e, const Batch& b) {
         }
         out[k] = l.Num(k) / c;
       }
-      Vec v;
-      v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
-                                 std::move(nulls));
-      return v;
+      return OwnedVec(Column::FromData(TypeId::kDouble, {}, std::move(out),
+                                       {}, std::move(nulls)));
     }
-    case BinaryOp::kMod: {
-      std::vector<int64_t> out(n);
-      for (size_t k = 0; k < n; ++k) {
-        const int64_t c = r.AsIntAt(k);
-        if (l.IsNull(k) || r.IsNull(k) || c == 0) {
-          set_null(k);
-          continue;
-        }
-        out[k] = l.AsIntAt(k) % c;
-      }
-      Vec v;
-      v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
-                                 std::move(nulls));
-      return v;
-    }
+    case BinaryOp::kMod:
+      return ModVec(l, r, n);
     default:
       return Status::Internal("unhandled binary op");
   }
@@ -1155,7 +1411,11 @@ Result<Vec> EvalVec(const Expr& e, const Batch& b) {
     }
     case ExprKind::kBinary: {
       switch (e.binary_op) {
-        case BinaryOp::kAdd:
+        case BinaryOp::kAdd: {
+          SidShape sid;
+          if (MatchSid(e, &sid)) return EvalSid(sid, b);
+          return EvalArith(e, b);
+        }
         case BinaryOp::kSub:
         case BinaryOp::kMul:
         case BinaryOp::kDiv:
@@ -1178,8 +1438,7 @@ Result<Vec> EvalVec(const Expr& e, const Batch& b) {
       // the row-addressed draw CounterRandom(seed, row id, call site) — a
       // pure function of row identity, so the kernel, the row fallback, and
       // every morsel decomposition agree bit for bit.
-      if (sql::IsRandFunctionExpr(e) && e.args.empty() &&
-          !g_serial_rand_baseline.load(std::memory_order_relaxed)) {
+      if (sql::IsRandFunctionExpr(e) && e.args.empty()) {
         const uint64_t site = static_cast<uint64_t>(e.rand_site);
         // Range batches draw for consecutive row ids, which is exactly the
         // shape the SIMD rand lane covers (4 CounterRandom draws per
@@ -1212,106 +1471,37 @@ Result<Vec> EvalVec(const Expr& e, const Batch& b) {
                                    {}, {});
         return v;
       }
-      // Unary numeric math (floor/ceil/abs/sqrt): typed lanes instead of a
-      // per-row tree walk — floor() wraps every rand() in the rewritten sid
-      // expression `1 + floor(rand() * b)`, so without this kernel the rand
-      // kernel above would never be reached on the AQP hot path.
+      // Unary numeric math (floor/ceil/abs/sqrt) over typed lanes from the
+      // kernel layer. String/mixed operands fall through to the row
+      // interpreter's Value semantics below.
       if (e.args.size() == 1 &&
           (e.name == "floor" || e.name == "ceil" || e.name == "ceiling" ||
-           e.name == "abs" || e.name == "sqrt") &&
-          !PinnedSerialForBaseline(e)) {
-        // The baseline hook row-interprets rand-bearing subtrees whole, as
-        // the pre-row-addressed executor did with floor(rand() * b).
+           e.name == "abs" || e.name == "sqrt")) {
         auto av = EvalVec(*e.args[0], b);
         if (!av.ok()) return av.status();
         const Vec& a = av.value();
         if (!a.mixed && a.type() != TypeId::kString) {
-          if (a.type() == TypeId::kNull) return ConstVec(Value::Null());
-          std::vector<uint8_t> nulls;
-          auto set_null = [&](size_t k) {
-            if (nulls.empty()) nulls.assign(n, 0);
-            nulls[k] = 1;
-          };
-          // abs over Int64 storage keeps the integer lane (matching
-          // CallScalarFunction's Value::Int(std::abs(..)) semantics; Bool
-          // values take the double lane there, so they do here too).
-          if (e.name == "abs" && a.type() == TypeId::kInt64) {
-            std::vector<int64_t> out(n, 0);
-            for (size_t k = 0; k < n; ++k) {
-              if (a.IsNull(k)) {
-                set_null(k);
-              } else {
-                // Wrap-defined abs: abs(INT64_MIN) == INT64_MIN (see
-                // CallScalarFunction).
-                const int64_t x = a.IntRaw(k);
-                out[k] = x < 0
-                             ? static_cast<int64_t>(0ull -
-                                                    static_cast<uint64_t>(x))
-                             : x;
-              }
-            }
-            Vec v;
-            v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
-                                       std::move(nulls));
-            return v;
-          }
-          if (e.name == "abs" || e.name == "sqrt") {
-            std::vector<double> out(n, 0.0);
-            const bool is_abs = e.name == "abs";
-            for (size_t k = 0; k < n; ++k) {
-              if (a.IsNull(k)) {
-                set_null(k);
-              } else {
-                const double x = a.Num(k);
-                out[k] = is_abs ? std::abs(x) : std::sqrt(x);
-              }
-            }
-            Vec v;
-            v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
-                                       std::move(nulls));
-            return v;
-          }
-          // floor/ceil return Int64, like the row interpreter.
-          std::vector<int64_t> out(n, 0);
-          const bool is_floor = e.name == "floor";
-          for (size_t k = 0; k < n; ++k) {
-            if (a.IsNull(k)) {
-              set_null(k);
-            } else {
-              const double x = a.Num(k);
-              out[k] = static_cast<int64_t>(is_floor ? std::floor(x)
-                                                     : std::ceil(x));
-            }
-          }
-          Vec v;
-          v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
-                                     std::move(nulls));
-          return v;
+          return UnaryMathVec(e.name, a, n);
         }
-        // String/mixed operands: defer to the row interpreter's Value
-        // semantics below.
       }
-      // Universe-sample membership hash (the Fig. 11 hot path): batch kernel
-      // over the evaluated argument instead of a per-row tree walk.
+      // Universe-sample membership hash (the Fig. 11 hot path, hashed-sample
+      // builds and appends): the kernel layer's HashUnit lanes over the
+      // evaluated argument.
       if ((e.name == "verdict_hash" || e.name == "unit_hash") &&
           e.args.size() == 1) {
         auto av = EvalVec(*e.args[0], b);
         if (!av.ok()) return av.status();
         const Vec& a = av.value();
-        std::vector<double> out(n);
-        std::vector<uint8_t> nulls;
-        for (size_t k = 0; k < n; ++k) {
-          if (a.IsNull(k)) {
-            if (nulls.empty()) nulls.assign(n, 0);
-            nulls[k] = 1;
-            continue;
-          }
-          out[k] = HashUnit(a.At(k));
+        std::vector<double> out(n, 0.0);
+        if (!a.is_const) {
+          HashUnitsInto(a, 0, n, out.data());
+        } else if (!a.IsNull(0)) {
+          std::fill(out.begin(), out.end(), HashUnit(a.At(0)));
         }
-        Vec v;
-        v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
-                                   std::move(nulls));
-        return v;
+        std::vector<uint8_t> nulls = RowNulls(a, n);
+        ZeroNullSlots(nulls, &out);
+        return OwnedVec(Column::FromData(TypeId::kDouble, {}, std::move(out),
+                                         {}, std::move(nulls)));
       }
       // concat (the multi-column NDV probe's count(distinct concat(a, '|',
       // b))): one string assembled per lane from the evaluated arguments,
@@ -1448,10 +1638,6 @@ Status EvalPredicateBatch(const Expr& e, const Batch& batch, SelVector* out) {
   return Status::Ok();
 }
 
-void SetSerialRandBaselineForTest(bool enabled) {
-  g_serial_rand_baseline.store(enabled, std::memory_order_relaxed);
-}
-
 Status EvalPredicateParallel(const Expr& e, const Table& table,
                              uint64_t rand_seed, int num_threads,
                              SelVector* out, const ExecGuard* guard) {
@@ -1465,7 +1651,7 @@ Status EvalPredicateParallel(const Expr& e, const Table& table,
         std::to_string(n));
   }
   const size_t morsel = MorselRows();
-  if (num_threads <= 1 || n <= morsel || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= morsel) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_scan"));
     Batch batch{&table, nullptr, rand_seed};
     return EvalPredicateBatch(e, batch, out);
@@ -1504,7 +1690,7 @@ Result<TablePtr> FilterGatherParallel(const Expr& pred, const Table& table,
   // table (freed by the statement issuer's accounting reset).
   const uint64_t per_row =
       n > 0 ? static_cast<uint64_t>(table.ApproxBytes()) / n : 0;
-  if (num_threads <= 1 || n <= MorselRows() || PinnedSerialForBaseline(pred)) {
+  if (num_threads <= 1 || n <= MorselRows()) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "filter_gather"));
     Batch batch{&table, nullptr, rand_seed};
     SelVector sel;
@@ -1541,7 +1727,7 @@ Status EvalPredicateView(const Expr& e, const RowView& view,
                          uint64_t rand_seed, int num_threads, SelVector* out,
                          const ExecGuard* guard) {
   const size_t n = view.num_rows();
-  if (num_threads <= 1 || n <= MorselRows() || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= MorselRows()) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_view"));
     Batch batch = ViewBatch(view, rand_seed);
     return EvalPredicateBatch(e, batch, out);
@@ -1573,7 +1759,7 @@ Status EvalPredicateBitmap(const Expr& e, const RowView& view,
   // depends only on n, and the truth CONTENT is per-row pure, so any morsel
   // size produces the identical bitmap.
   const size_t wmorsel = (MorselRows() + 63) / 64 * 64;
-  if (num_threads <= 1 || n <= wmorsel || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= wmorsel) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_bitmap"));
     Batch batch = ViewBatch(view, rand_seed);
     auto t = EvalTri(e, batch);
@@ -1601,7 +1787,7 @@ Result<Column> EvalExprView(const Expr& e, const RowView& view,
                             uint64_t rand_seed, int num_threads,
                             const ExecGuard* guard) {
   const size_t n = view.num_rows();
-  if (num_threads <= 1 || n <= MorselRows() || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= MorselRows()) {
     // One whole-view batch. This also serves the empty view: the evaluator
     // still walks the tree, so the output column keeps its natural type and
     // empty results stay schema-complete.

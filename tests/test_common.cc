@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/hash.h"
@@ -22,6 +23,40 @@ TEST(ValueTest, TypesAndAccessors) {
   EXPECT_EQ(Value::Double(2.9).AsInt(), 2);
   EXPECT_EQ(Value::String("hi").AsString(), "hi");
   EXPECT_TRUE(Value::Bool(true).AsBool());
+}
+
+TEST(ValueTest, DoubleToInt64IsTotal) {
+  // Truncation inside [-2^63, 2^63); NaN, +-inf and everything outside map
+  // to INT64_MIN (x86's cvttsd2si answer), never to undefined behavior.
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(DoubleToInt64(2.9), 2);
+  EXPECT_EQ(DoubleToInt64(-2.9), -2);
+  EXPECT_EQ(DoubleToInt64(-0.0), 0);
+  EXPECT_EQ(DoubleToInt64(0x1p53), int64_t{1} << 53);
+  EXPECT_EQ(DoubleToInt64(-0x1p63), kMin);
+  EXPECT_EQ(DoubleToInt64(0x1p63 - 1024.0), int64_t{0x7FFFFFFFFFFFFC00});
+  EXPECT_EQ(DoubleToInt64(0x1p63), kMin);
+  EXPECT_EQ(DoubleToInt64(1e300), kMin);
+  EXPECT_EQ(DoubleToInt64(-1e300), kMin);
+  EXPECT_EQ(DoubleToInt64(std::numeric_limits<double>::infinity()), kMin);
+  EXPECT_EQ(DoubleToInt64(-std::numeric_limits<double>::infinity()), kMin);
+  EXPECT_EQ(DoubleToInt64(std::numeric_limits<double>::quiet_NaN()), kMin);
+  EXPECT_EQ(Value::Double(1e19).AsInt(), kMin);
+}
+
+TEST(ValueTest, Int64ModIsTotal) {
+  // C++ % elsewhere, but x % -1 == 0 (INT64_MIN % -1 traps on x86) and
+  // x % 0 == 0 (the SQL callers make that row NULL).
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(Int64Mod(kMin, -1), 0);
+  EXPECT_EQ(Int64Mod(7, -1), 0);
+  EXPECT_EQ(Int64Mod(7, 0), 0);
+  EXPECT_EQ(Int64Mod(-7, 3), -1);
+  EXPECT_EQ(Int64Mod(7, -3), 1);
+  EXPECT_EQ(Int64Mod(kMin, kMax), -1);
+  EXPECT_EQ(Int64Mod(kMax, kMin), kMax);
+  EXPECT_EQ(Int64Mod(kMin, kMin), 0);
 }
 
 TEST(ValueTest, NumericComparisonCrossType) {

@@ -328,6 +328,30 @@ TEST_F(EngineTest, SelectConstants) {
   EXPECT_EQ(rs.Get(0, 1).AsString(), "x");
 }
 
+TEST_F(EngineTest, ModByMinusOneIsZeroNotATrap) {
+  // INT64_MIN % -1 is undefined in C++ and raises SIGFPE on x86; the engine
+  // defines x % -1 = 0 on every path: a constant expression, a derived-table
+  // column, mod(), and a table column.
+  const std::string kMin = "(0 - 9223372036854775807 - 1)";
+  for (const std::string& sql :
+       {"select " + kMin + " % (0 - 1) as m",
+        "select x % (0 - 1) as m from (select " + kMin + " as x) t",
+        "select mod(" + kMin + ", 0 - 1) as m",
+        "select x % d as m from (select " + kMin +
+            " as x, 0 - 1 as d) t"}) {
+    auto rs = Run(sql);
+    ASSERT_EQ(rs.NumRows(), 1u) << sql;
+    EXPECT_EQ(rs.Get(0, 0).AsInt(), 0) << sql;
+  }
+  auto rs = Run("select id % (0 - 1) as m from orders where id = 7");
+  ASSERT_EQ(rs.NumRows(), 1u);
+  EXPECT_EQ(rs.Get(0, 0).AsInt(), 0);
+  rs = Run("select -7 % 3 as a, 7 % (0 - 3) as b, 5 % 0 as c");
+  EXPECT_EQ(rs.Get(0, 0).AsInt(), -1);
+  EXPECT_EQ(rs.Get(0, 1).AsInt(), 1);
+  EXPECT_TRUE(rs.Get(0, 2).is_null());
+}
+
 TEST_F(EngineTest, NullHandling) {
   ASSERT_TRUE(db_.Execute("create table n as select id, "
                           "case when id > 5 then null else price end as p "

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -342,6 +343,192 @@ TEST(KernelsTest, BloomPrefilterMatchesScalarAndHasNoFalseNegatives) {
       for (size_t w = 0; w < got.num_words(); ++w) {
         ASSERT_EQ(got.word(w), ref.word(w))
             << "n=" << n << " w=" << w << " level=" << SimdLevelName(level);
+      }
+    }
+  }
+}
+
+// ---- typed numeric lanes and the fused sid lane ------------------------------
+
+/// Doubles aimed at the lanes' edges: NaN, +-0.0, +-inf, the 2^51 boundary
+/// where the AVX2 conversion switches to the scalar rule, 2^53, +-2^63,
+/// 9.2e18 (HashDouble's integral cut-off), integral values and fractions.
+std::vector<double> EdgeF64(Rng& rng, size_t n) {
+  const double kPool[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0x1p51 - 0.5,
+      0x1p51,
+      0x1p51 + 0.5,
+      -0x1p51 - 0.5,
+      0x1p53,
+      0x1p53 + 2.0,
+      0x1p63,
+      -0x1p63,
+      9.2e18,
+      -9.3e18,
+      1e300,
+      3.0,
+      -7.0,
+      0.5,
+      -2.5,
+  };
+  const size_t kPoolSize = sizeof(kPool) / sizeof(kPool[0]);
+  std::vector<double> v(n);
+  for (size_t k = 0; k < n; ++k) {
+    v[k] = rng.NextBounded(2) == 0 ? kPool[rng.NextBounded(kPoolSize)]
+                                   : (rng.NextDouble() - 0.5) * 1e6;
+  }
+  return v;
+}
+
+/// Bit-exact double vector equality (NaN payloads and signed zeros too).
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  ASSERT_EQ(CmpBytes(got.data(), want.data(), got.size() * sizeof(double)), 0)
+      << what;
+}
+
+TEST(KernelsTest, RoundF64I64MatchesDoubleToInt64OfFloorAndCeil) {
+  Rng rng(31);
+  for (size_t n : kSizes) {
+    auto x = EdgeF64(rng, n);
+    for (RoundOp op : {RoundOp::kFloor, RoundOp::kCeil}) {
+      std::vector<int64_t> ref(n);
+      for (size_t k = 0; k < n; ++k) {
+        ref[k] = DoubleToInt64(op == RoundOp::kFloor ? std::floor(x[k])
+                                                     : std::ceil(x[k]));
+      }
+      for (SimdLevel level : LevelsToTest()) {
+        ScopedSimdLevel scoped(level);
+        std::vector<int64_t> got(n);
+        Ops().round_f64_i64(op, x.data(), n, got.data());
+        ASSERT_EQ(got, ref) << SimdLevelName(level) << " n=" << n;
+      }
+    }
+  }
+  // Pinned values: the out-of-range class is INT64_MIN at every level.
+  const double in[] = {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       0x1p63,
+                       -0x1p63,
+                       -2.5,
+                       0x1p51 + 0.5,
+                       -0.0};
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t want[] = {kMin, kMin, kMin, kMin, kMin, -3,
+                          int64_t{1} << 51, 0};
+  for (SimdLevel level : LevelsToTest()) {
+    ScopedSimdLevel scoped(level);
+    int64_t got[8];
+    Ops().round_f64_i64(RoundOp::kFloor, in, 8, got);
+    for (size_t k = 0; k < 8; ++k) {
+      EXPECT_EQ(got[k], want[k]) << SimdLevelName(level) << " k=" << k;
+    }
+  }
+}
+
+TEST(KernelsTest, DivF64BitIdenticalAcrossLevels) {
+  Rng rng(41);
+  for (size_t n : kSizes) {
+    auto a = EdgeF64(rng, n);
+    auto b = EdgeF64(rng, n);
+    // Every other size gets no zero divisor, so both flag values are seen.
+    if (n % 2 == 1) {
+      for (double& x : b) x = x == 0.0 ? 1.0 : x;
+    }
+    bool b_has_zero = false;
+    for (double x : b) b_has_zero |= x == 0.0;  // -0.0 too, NaN not
+    for (double c : {0.0, -0.0, 3.0, std::numeric_limits<double>::quiet_NaN()}) {
+      std::vector<double> ref_vv(n), ref_vc(n), ref_cv(n);
+      for (size_t k = 0; k < n; ++k) {
+        ref_vv[k] = a[k] / b[k];
+        ref_vc[k] = a[k] / c;
+        ref_cv[k] = c / b[k];
+      }
+      for (SimdLevel level : LevelsToTest()) {
+        ScopedSimdLevel scoped(level);
+        const std::string at = std::string(SimdLevelName(level)) +
+                               " n=" + std::to_string(n);
+        std::vector<double> got(n);
+        EXPECT_EQ(Ops().div_f64_vv(a.data(), b.data(), n, got.data()),
+                  b_has_zero)
+            << at;
+        ExpectSameBits(got, ref_vv, "vv " + at);
+        Ops().div_f64_vc(a.data(), c, n, got.data());
+        ExpectSameBits(got, ref_vc, "vc " + at);
+        EXPECT_EQ(Ops().div_f64_cv(c, b.data(), n, got.data()), b_has_zero)
+            << at;
+        ExpectSameBits(got, ref_cv, "cv " + at);
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, HashUnitLanesMatchHashUnitOfValue) {
+  Rng rng(47);
+  for (size_t n : kSizes) {
+    auto ints = RandomI64(rng, n);
+    auto dbls = EdgeF64(rng, n);
+    std::vector<double> ref_i(n), ref_d(n);
+    for (size_t k = 0; k < n; ++k) {
+      ref_i[k] = HashUnit(Value::Int(ints[k]));
+      ref_d[k] = HashUnit(Value::Double(dbls[k]));
+    }
+    for (SimdLevel level : LevelsToTest()) {
+      ScopedSimdLevel scoped(level);
+      const std::string at = std::string(SimdLevelName(level)) +
+                             " n=" + std::to_string(n);
+      std::vector<double> got(n);
+      Ops().hash_unit_i64(ints.data(), n, got.data());
+      ExpectSameBits(got, ref_i, "i64 " + at);
+      Ops().hash_unit_f64(dbls.data(), n, got.data());
+      ExpectSameBits(got, ref_d, "f64 " + at);
+    }
+  }
+  // Integral doubles hash like their int64 value, fractions do not.
+  const double d[4] = {3.0, -0.0, 0x1p52, 2.5};
+  const int64_t i[4] = {3, 0, int64_t{1} << 52, 2};
+  for (SimdLevel level : LevelsToTest()) {
+    ScopedSimdLevel scoped(level);
+    double hd[4], hi[4];
+    Ops().hash_unit_f64(d, 4, hd);
+    Ops().hash_unit_i64(i, 4, hi);
+    EXPECT_EQ(CmpBytes(hd, hi, 3 * sizeof(double)), 0) << SimdLevelName(level);
+    EXPECT_NE(hd[3], hi[3]) << SimdLevelName(level);
+  }
+}
+
+TEST(KernelsTest, SidFromUnitIsFloorOfProductPlusBase) {
+  Rng rng(53);
+  const double kScales[] = {1.0,  64.0, 196.5, 0.25, 0.0, -3.0,
+                            -0.5, 1e300, std::numeric_limits<double>::quiet_NaN()};
+  const int64_t kBases[] = {1, 0, -7, std::numeric_limits<int64_t>::max()};
+  for (size_t n : kSizes) {
+    std::vector<double> u(n);
+    for (size_t k = 0; k < n; ++k) {
+      u[k] = rng.NextBounded(8) == 0 ? EdgeF64(rng, 1)[0] : rng.NextDouble();
+    }
+    for (double c : kScales) {
+      for (int64_t base : kBases) {
+        std::vector<int64_t> ref(n);
+        for (size_t k = 0; k < n; ++k) {
+          // The unfused chain: product, floor to Int64, wrapping add.
+          ref[k] = scalar::ArithApply(ArithOp::kAdd, base,
+                                      DoubleToInt64(std::floor(u[k] * c)));
+        }
+        for (SimdLevel level : LevelsToTest()) {
+          ScopedSimdLevel scoped(level);
+          std::vector<int64_t> got(n);
+          Ops().sid_from_unit(u.data(), c, base, n, got.data());
+          ASSERT_EQ(got, ref) << SimdLevelName(level) << " n=" << n
+                              << " c=" << c << " base=" << base;
+        }
       }
     }
   }

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,8 +26,10 @@
 #include "common/thread_pool.h"
 #include "core/verdict_context.h"
 #include "engine/database.h"
+#include "engine/expr_eval.h"
 #include "engine/planner.h"
 #include "engine/vector_eval.h"
+#include "sql/parser.h"
 
 namespace vdb::engine {
 namespace {
@@ -475,7 +478,6 @@ class RowAddressedRandTest : public ::testing::Test {
   void TearDown() override {
     SetMorselRowsForTest(0);
     SetJoinWherePushdownForTest(true);
-    SetSerialRandBaselineForTest(false);
   }
 };
 
@@ -553,14 +555,40 @@ TEST_F(RowAddressedRandTest, RandInProjectionOverJoinPushdownInvariant) {
 }
 
 TEST_F(RowAddressedRandTest, SerialRandBaselineProducesIdenticalResults) {
-  // The pre-row-addressed executor (row-interpreter fallback + serial pin),
-  // re-enabled via the baseline hook, must produce the same values the
-  // vectorized parallel substrate does: draws are row-addressed in both.
-  SetSerialRandBaselineForTest(false);
+  // Oracle: the serial row-at-a-time executor in its smallest form — the
+  // sid expression row-interpreted (EvalExpr) per row, grouped by hand. The
+  // vectorized, fused, morsel-parallel statement must reproduce it exactly:
+  // draws are row-addressed in both. The statement is the first on a fresh
+  // database, so its query seed is the database Rng's first draw, and its
+  // one rand() call is site 1.
   ResultSet vectorized = RunFresh(kSidAggregateSql, 8);
-  SetSerialRandBaselineForTest(true);
-  ResultSet pinned = RunFresh(kSidAggregateSql, 1);
-  ExpectSameResults(vectorized, pinned, "vectorized vs pinned-serial baseline");
+  auto sid = sql::ParseExpression("1 + floor(rand() * 64)");
+  ASSERT_TRUE(sid.ok());
+  sql::Expr& rand_call = *sid.value()->args[1]->args[0]->args[0];
+  ASSERT_TRUE(sql::IsRandFunctionExpr(rand_call));
+  rand_call.rand_site = 1;
+  Rng seeds(kSeed);
+  const uint64_t seed = seeds.Next();
+  TablePtr orders = BuildOrders(10007);
+  // (city, sid) -> (count, sum(price)); prices are multiples of 0.25, so the
+  // sums are exact in any order.
+  std::map<std::pair<std::string, int64_t>, std::pair<int64_t, double>> groups;
+  for (size_t r = 0; r < orders->num_rows(); ++r) {
+    auto v = EvalExpr(*sid.value(), RowCtx{orders.get(), r, seed, 0});
+    ASSERT_TRUE(v.ok());
+    auto& g = groups[{orders->Get(r, 1).AsString(), v.value().AsInt()}];
+    ++g.first;
+    g.second += orders->Get(r, 2).AsDouble();
+  }
+  ASSERT_EQ(vectorized.NumRows(), groups.size());
+  size_t row = 0;
+  for (const auto& [key, agg] : groups) {
+    EXPECT_EQ(vectorized.Get(row, 0).AsString(), key.first) << row;
+    EXPECT_EQ(vectorized.Get(row, 1).AsInt(), key.second) << row;
+    EXPECT_EQ(vectorized.Get(row, 2).AsInt(), agg.first) << row;
+    EXPECT_EQ(vectorized.Get(row, 3).AsDouble(), agg.second) << row;
+    ++row;
+  }
 }
 
 TEST_F(RowAddressedRandTest, ViewPipelineMatchesEagerReference) {

@@ -73,6 +73,43 @@ TablePtr MakeRandomTable(Rng* rng, size_t rows) {
   return t;
 }
 
+/// The variational rewrite's subsample-id shape `base + floor(unit * scale)`
+/// (core/rewriter.cc), with either operand order of + and *. `scale_times_one`
+/// builds the unfused twin `base + floor(unit * scale * 1)`: the same value
+/// node by node, a shape the evaluator's fused sid lane does not match.
+Expr::Ptr MakeSid(Expr::Ptr unit, const Value& scale, const Value& base,
+                  bool swap_add, bool swap_mul, bool scale_times_one = false) {
+  auto lit = sql::MakeLiteral(scale);
+  Expr::Ptr prod = swap_mul
+                       ? sql::MakeBinary(BinaryOp::kMul, std::move(lit),
+                                         std::move(unit))
+                       : sql::MakeBinary(BinaryOp::kMul, std::move(unit),
+                                         std::move(lit));
+  if (scale_times_one) {
+    prod = sql::MakeBinary(BinaryOp::kMul, std::move(prod),
+                           sql::MakeIntLit(1));
+  }
+  std::vector<Expr::Ptr> args;
+  args.push_back(std::move(prod));
+  auto fl = sql::MakeFunction("floor", std::move(args));
+  return swap_add ? sql::MakeBinary(BinaryOp::kAdd, std::move(fl),
+                                    sql::MakeLiteral(base))
+                  : sql::MakeBinary(BinaryOp::kAdd, sql::MakeLiteral(base),
+                                    std::move(fl));
+}
+
+Expr::Ptr MakeRand(int site) {
+  auto e = sql::MakeFunction("rand", {});
+  e->rand_site = site;
+  return e;
+}
+
+Expr::Ptr MakeHash(Expr::Ptr arg) {
+  std::vector<Expr::Ptr> args;
+  args.push_back(std::move(arg));
+  return sql::MakeFunction("verdict_hash", std::move(args));
+}
+
 class ExprGen {
  public:
   explicit ExprGen(Rng* rng) : rng_(rng) {}
@@ -191,7 +228,7 @@ class ExprGen {
     // rand-family calls are fair game: draws are row-addressed, so the
     // batch kernels and the row interpreter produce identical values (each
     // generated call gets its own site id).
-    switch (rng_->NextBounded(11)) {
+    switch (rng_->NextBounded(12)) {
       case 0: return Call("abs", Gen(depth - 1));
       case 1: return Call("floor", Gen(depth - 1));
       case 2: return Call("coalesce", Gen(depth - 1), Gen(depth - 1));
@@ -203,8 +240,23 @@ class ExprGen {
       case 7: return Sited(Call("rand_poisson"));
       case 8: return Call("ceil", Gen(depth - 1));
       case 9: return Call("sqrt", Gen(depth - 1));
+      case 10: return GenSid(depth);
       default: return Call("greatest", Gen(depth - 1), Gen(depth - 1));
     }
+  }
+
+  /// A fused-sid shape over rand() or verdict_hash(subtree), with scales
+  /// and bases that include 1, 0, negatives and a non-integer.
+  Expr::Ptr GenSid(int depth) {
+    static const Value kScales[] = {Value::Int(1),          Value::Int(64),
+                                    Value::Double(196.5),   Value::Double(0.25),
+                                    Value::Int(0),          Value::Int(-3)};
+    static const int64_t kBases[] = {1, 0, -7};
+    Expr::Ptr unit = rng_->NextBernoulli(0.5) ? Sited(Call("rand"))
+                                              : MakeHash(Gen(depth - 1));
+    return MakeSid(std::move(unit), kScales[rng_->NextBounded(6)],
+                   Value::Int(kBases[rng_->NextBounded(3)]),
+                   rng_->NextBernoulli(0.5), rng_->NextBernoulli(0.5));
   }
 
   Expr::Ptr Sited(Expr::Ptr e) {
@@ -392,6 +444,10 @@ TablePtr MakeAdversarialTable(Rng* rng, size_t rows) {
   t->AddColumn("d2", TypeId::kDouble);
   t->AddColumn("s1", TypeId::kString);
   t->AddColumn("b1", TypeId::kBool);
+  // Beyond the IEEE classes: the 2^51 boundary where the AVX2 double ->
+  // int64 conversion hands over to the scalar rule, 2^53, +-2^63 (the
+  // DoubleToInt64 range edge), 9.2e18 (HashDouble's integral cut-off) and
+  // an integral double (hashes like its int64 value).
   const double kDoublePool[] = {
       std::numeric_limits<double>::quiet_NaN(),
       0.0,
@@ -401,17 +457,30 @@ TablePtr MakeAdversarialTable(Rng* rng, size_t rows) {
       1.5,
       -2.25,
       1e300,
+      0x1p51 + 0.5,
+      0x1p53,
+      0x1p63,
+      -0x1p63,
+      9.2e18,
+      3.0,
   };
   const int64_t kIntPool[] = {std::numeric_limits<int64_t>::min(),
-                              std::numeric_limits<int64_t>::max(), -3, 0, 5};
+                              std::numeric_limits<int64_t>::max(),
+                              -3,
+                              0,
+                              5,
+                              -1,
+                              int64_t{1} << 53};
+  const size_t kDoubles = sizeof(kDoublePool) / sizeof(kDoublePool[0]);
+  const size_t kInts = sizeof(kIntPool) / sizeof(kIntPool[0]);
   static const char* kStrings[] = {"a", "ab", "", "ba"};
   auto pick_double = [&] {
     return rng->NextBernoulli(0.5)
-               ? kDoublePool[rng->NextBounded(8)]
+               ? kDoublePool[rng->NextBounded(kDoubles)]
                : static_cast<double>(rng->NextInRange(-40, 40)) / 8.0;
   };
   auto pick_int = [&] {
-    return rng->NextBernoulli(0.3) ? kIntPool[rng->NextBounded(5)]
+    return rng->NextBernoulli(0.3) ? kIntPool[rng->NextBounded(kInts)]
                                    : rng->NextInRange(-6, 6);
   };
   for (size_t r = 0; r < rows; ++r) {
@@ -556,6 +625,290 @@ TEST(SimdDispatchFuzz, GatherLanesBitIdenticalAcrossDispatchLevels) {
           std::memcpy(&bb, &b.DoubleData()[i], 8);
           ASSERT_EQ(ab, bb) << "row " << i;
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Typed numeric lanes and the fused sid lane
+//
+// floor/ceil/abs/sqrt, `/`, `%` and verdict_hash/unit_hash run on the
+// kernel layer's typed lanes, and `base + floor(rand() * c)` /
+// `base + floor(verdict_hash(x) * c)` on the fused sid lane. Each must match
+// the row interpreter with exact result types and double bit patterns, on
+// the adversarial table, under every dispatch level, over contiguous, range
+// and selection batches; the fused sid must also equal its unfused twin
+// (evaluated node by node) bit for bit, at any morsel size and thread count.
+// ---------------------------------------------------------------------------
+
+/// Batch == row with exact types and double bit patterns (the randomized
+/// fuzz above compares numerically; the typed lanes promise more).
+void ExpectBatchBitsMatchRow(const Expr& e, const Batch& b) {
+  auto row_col = RowReference(e, b);
+  auto batch_col = EvalExprBatch(e, b);
+  ASSERT_EQ(row_col.ok(), batch_col.ok()) << sql::PrintExpr(e);
+  if (!row_col.ok()) return;
+  const Column& rc = row_col.value();
+  const Column& bc = batch_col.value();
+  ASSERT_EQ(bc.size(), b.size()) << sql::PrintExpr(e);
+  for (size_t k = 0; k < b.size(); ++k) {
+    ASSERT_EQ(rc.IsNull(k), bc.IsNull(k)) << sql::PrintExpr(e) << " row " << k;
+    if (rc.IsNull(k)) continue;
+    const Value rv = rc.Get(k), bv = bc.Get(k);
+    ASSERT_EQ(rv.type(), bv.type()) << sql::PrintExpr(e) << " row " << k;
+    if (rv.type() == TypeId::kDouble) {
+      const double x = rv.AsDouble(), y = bv.AsDouble();
+      ASSERT_EQ(std::memcmp(&x, &y, sizeof(x)), 0)
+          << sql::PrintExpr(e) << " row " << k << ": " << x << " vs " << y;
+    } else {
+      ASSERT_TRUE(SameValue(rv, bv))
+          << sql::PrintExpr(e) << " row " << k << ": " << rv.ToString()
+          << " vs " << bv.ToString();
+    }
+  }
+}
+
+std::vector<kernels::SimdLevel> LevelsToTest() {
+  std::vector<kernels::SimdLevel> levels{kernels::SimdLevel::kScalar};
+  if (kernels::DetectedSimdLevel() != kernels::SimdLevel::kScalar) {
+    levels.push_back(kernels::DetectedSimdLevel());
+  }
+  return levels;
+}
+
+Expr::Ptr ColRef(int idx) {
+  static const char* kCols[] = {"i1", "i2", "d1", "d2", "s1", "b1"};
+  auto e = sql::MakeColumnRef("", kCols[idx]);
+  e->bound_column = idx;
+  return e;
+}
+
+Expr::Ptr Call1(const char* name, Expr::Ptr arg) {
+  std::vector<Expr::Ptr> args;
+  args.push_back(std::move(arg));
+  return sql::MakeFunction(name, std::move(args));
+}
+
+/// The batch shapes every lane must handle: the whole table (contiguous), a
+/// row-range morsel, and a selection (sorted random subset, odd length).
+struct BatchSet {
+  SelVector sel;
+  std::vector<Batch> batches;
+};
+
+BatchSet MakeBatches(const Table& t, Rng* rng, uint64_t seed) {
+  BatchSet out;
+  const size_t n = t.num_rows();
+  for (uint32_t r = 0; r < n; ++r) {
+    if (rng->NextBernoulli(0.6)) out.sel.push_back(r);
+  }
+  out.batches.push_back(Batch{&t, nullptr, seed});
+  if (n > 2) out.batches.push_back(Batch{&t, nullptr, seed, 1, n - 1});
+  out.batches.push_back(Batch{&t, &out.sel, seed});
+  return out;
+}
+
+TEST(TypedLaneTest, NewLanesMatchRowInterpreterBitForBit) {
+  Rng rng(0x7E5CA1);
+  const Value kDivisors[] = {
+      Value::Int(0),         Value::Int(1),
+      Value::Int(-1),        Value::Int(7),
+      Value::Int(-625),      Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Double(0.5),    Value::Double(-0.0),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+  };
+  for (size_t rows : {size_t{1}, size_t{7}, size_t{65}, size_t{301}}) {
+    auto t = MakeAdversarialTable(&rng, rows);
+    std::vector<Expr::Ptr> exprs;
+    for (int c = 0; c < 6; ++c) {
+      for (const char* fn : {"floor", "ceil", "abs", "sqrt", "verdict_hash",
+                             "unit_hash"}) {
+        exprs.push_back(Call1(fn, ColRef(c)));
+      }
+      for (int c2 = 0; c2 < 6; ++c2) {
+        exprs.push_back(sql::MakeBinary(BinaryOp::kDiv, ColRef(c), ColRef(c2)));
+        exprs.push_back(sql::MakeBinary(BinaryOp::kMod, ColRef(c), ColRef(c2)));
+      }
+      for (const Value& d : kDivisors) {
+        for (BinaryOp op : {BinaryOp::kDiv, BinaryOp::kMod}) {
+          exprs.push_back(sql::MakeBinary(op, ColRef(c), sql::MakeLiteral(d)));
+          exprs.push_back(sql::MakeBinary(op, sql::MakeLiteral(d), ColRef(c)));
+        }
+      }
+    }
+    // Constant operands fold through the same lanes.
+    exprs.push_back(Call1("floor", sql::MakeDoubleLit(-2.5)));
+    exprs.push_back(Call1("abs", sql::MakeIntLit(-9)));
+    exprs.push_back(sql::MakeBinary(
+        BinaryOp::kMod, sql::MakeIntLit(std::numeric_limits<int64_t>::min()),
+        sql::MakeIntLit(-1)));
+    BatchSet set = MakeBatches(*t, &rng, 7);
+    for (kernels::SimdLevel level : LevelsToTest()) {
+      kernels::SetSimdLevelForTest(level);
+      for (const auto& e : exprs) {
+        for (const Batch& b : set.batches) {
+          ExpectBatchBitsMatchRow(*e, b);
+          if (::testing::Test::HasFatalFailure()) break;
+        }
+        if (::testing::Test::HasFatalFailure()) break;
+      }
+      kernels::SetSimdLevelForTest(kernels::DetectedSimdLevel());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(TypedLaneTest, ComputedLanesLeaveZeroInNullSlots) {
+  // `/`, verdict_hash and the fused universe sid compute every row; their
+  // NULL rows (NULL operand, zero divisor) must still hold the zero
+  // placeholder the raw-storage accessors document (engine/column.h).
+  Rng rng(0x2E20);
+  auto t = MakeAdversarialTable(&rng, 301);
+  std::vector<Expr::Ptr> exprs;
+  for (int c = 0; c < 6; ++c) {
+    for (int c2 = 0; c2 < 6; ++c2) {
+      exprs.push_back(sql::MakeBinary(BinaryOp::kDiv, ColRef(c), ColRef(c2)));
+    }
+    exprs.push_back(
+        sql::MakeBinary(BinaryOp::kDiv, ColRef(c), sql::MakeIntLit(0)));
+    exprs.push_back(MakeHash(ColRef(c)));
+    exprs.push_back(sql::MakeBinary(
+        BinaryOp::kAdd, sql::MakeIntLit(1),
+        Call1("floor", sql::MakeBinary(BinaryOp::kMul, MakeHash(ColRef(c)),
+                                       sql::MakeIntLit(5)))));
+  }
+  BatchSet set = MakeBatches(*t, &rng, 7);
+  for (kernels::SimdLevel level : LevelsToTest()) {
+    kernels::SetSimdLevelForTest(level);
+    for (const auto& e : exprs) {
+      for (const Batch& b : set.batches) {
+        auto col = EvalExprBatch(*e, b);
+        ASSERT_TRUE(col.ok()) << sql::PrintExpr(*e);
+        const Column& c = col.value();
+        for (size_t k = 0; k < c.size(); ++k) {
+          if (!c.IsNull(k) || c.type() == TypeId::kNull) continue;
+          if (c.type() == TypeId::kDouble) {
+            const double x = c.DoubleData()[k], zero = 0.0;
+            ASSERT_EQ(std::memcmp(&x, &zero, sizeof(x)), 0)
+                << sql::PrintExpr(*e) << " row " << k << ": " << x;
+          } else {
+            ASSERT_EQ(c.IntData()[k], 0) << sql::PrintExpr(*e) << " row " << k;
+          }
+        }
+      }
+    }
+  }
+  kernels::SetSimdLevelForTest(kernels::DetectedSimdLevel());
+}
+
+/// The sid units under test: rand() and verdict_hash over every column
+/// type, NULL and non-NULL constants, and a computed argument.
+std::vector<Expr::Ptr> SidUnits() {
+  std::vector<Expr::Ptr> units;
+  units.push_back(MakeRand(1));
+  for (int c = 0; c < 6; ++c) units.push_back(MakeHash(ColRef(c)));
+  units.push_back(MakeHash(sql::MakeIntLit(42)));
+  units.push_back(MakeHash(sql::MakeDoubleLit(2.0)));
+  units.push_back(MakeHash(sql::MakeStringLit("ab")));
+  units.push_back(MakeHash(sql::MakeLiteral(Value::Null())));
+  units.push_back(MakeHash(
+      sql::MakeBinary(BinaryOp::kAdd, ColRef(0), sql::MakeIntLit(1))));
+  return units;
+}
+
+TEST(FusedSidTest, BitIdenticalToUnfusedTwinAndRowInterpreter) {
+  Rng rng(0x51D);
+  // b or c = 1, the rewriter's integer b and non-integer b / tau, zero and
+  // negative literals, and scales whose products leave the int64 range.
+  const Value kScales[] = {
+      Value::Int(1),        Value::Int(64),       Value::Int(196),
+      Value::Double(196.5), Value::Double(0.25),  Value::Int(0),
+      Value::Int(-3),       Value::Double(-0.5),  Value::Double(1e300),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+  };
+  const int64_t kBases[] = {1, 0, -7, std::numeric_limits<int64_t>::max()};
+  for (size_t rows : {size_t{1}, size_t{7}, size_t{64}, size_t{301}}) {
+    auto t = MakeAdversarialTable(&rng, rows);
+    BatchSet set = MakeBatches(*t, &rng, 0xC0FFEE);
+    const std::vector<Expr::Ptr> units = SidUnits();
+    for (const auto& unit : units) {
+      for (const Value& scale : kScales) {
+        for (int64_t base : kBases) {
+          const bool swap_add = rng.NextBernoulli(0.5);
+          const bool swap_mul = rng.NextBernoulli(0.5);
+          auto fused = MakeSid(unit->Clone(), scale, Value::Int(base),
+                               swap_add, swap_mul);
+          auto twin = MakeSid(unit->Clone(), scale, Value::Int(base),
+                              swap_add, swap_mul, /*scale_times_one=*/true);
+          for (const Batch& b : set.batches) {
+            std::vector<Column> per_level;
+            for (kernels::SimdLevel level : LevelsToTest()) {
+              kernels::SetSimdLevelForTest(level);
+              auto f = EvalExprBatch(*fused, b);
+              auto u = EvalExprBatch(*twin, b);
+              kernels::SetSimdLevelForTest(kernels::DetectedSimdLevel());
+              ASSERT_TRUE(f.ok() && u.ok()) << sql::PrintExpr(*fused);
+              EXPECT_EQ(f.value().type(), TypeId::kInt64)
+                  << sql::PrintExpr(*fused);
+              ExpectColumnsBitIdentical(u.value(), f.value(), *fused,
+                                        kernels::SimdLevelName(level));
+              per_level.push_back(std::move(f).ValueOrDie());
+            }
+            for (size_t li = 1; li < per_level.size(); ++li) {
+              ExpectColumnsBitIdentical(per_level[0], per_level[li], *fused,
+                                        "scalar vs simd");
+            }
+            ExpectBatchBitsMatchRow(*fused, b);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedSidTest, MorselsThreadsAndSelectionsAgree) {
+  Rng rng(0xA11);
+  auto t = MakeAdversarialTable(&rng, 1000);
+  SelVector sel;
+  for (uint32_t r = 0; r < 1000; ++r) {
+    if (rng.NextBernoulli(0.4)) sel.push_back(r);
+  }
+  auto all = RowView::All(t);
+  auto some = RowView::Select(t, sel);
+  ASSERT_TRUE(all.ok() && some.ok());
+  std::vector<Expr::Ptr> exprs;
+  exprs.push_back(MakeSid(MakeRand(1), Value::Int(64), Value::Int(1), false,
+                          false));
+  exprs.push_back(MakeSid(MakeHash(ColRef(1)), Value::Double(196.5),
+                          Value::Int(1), true, true));
+  exprs.push_back(MakeSid(MakeHash(ColRef(4)), Value::Int(1), Value::Int(1),
+                          false, true));
+  const uint64_t seed = 0xBADC0DE;
+  for (const auto& e : exprs) {
+    for (const RowView* view : {&all.value(), &some.value()}) {
+      // Reference: one whole-view batch at the default morsel size, itself
+      // checked against the row interpreter.
+      const Batch whole = ViewBatch(*view, seed);
+      ExpectBatchBitsMatchRow(*e, whole);
+      auto ref = EvalExprBatch(*e, whole);
+      ASSERT_TRUE(ref.ok());
+      for (size_t morsel : {size_t{7}, size_t{0}}) {
+        SetMorselRowsForTest(morsel);
+        for (int threads : {1, 2, 8}) {
+          for (kernels::SimdLevel level : LevelsToTest()) {
+            kernels::SetSimdLevelForTest(level);
+            auto got = EvalExprView(*e, *view, seed, threads);
+            kernels::SetSimdLevelForTest(kernels::DetectedSimdLevel());
+            ASSERT_TRUE(got.ok());
+            ExpectColumnsBitIdentical(ref.value(), got.value(), *e,
+                                      kernels::SimdLevelName(level));
+          }
+        }
+        SetMorselRowsForTest(0);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
